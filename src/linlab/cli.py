@@ -80,6 +80,9 @@ def _history_json(h) -> list:
 
 def cmd_simulate(cfg) -> int:
     scenario = _scenario(cfg)
+    crash = cfg["crash"]
+    if crash is not None and not (isinstance(crash, int) and 0 <= crash < scenario.n):
+        raise ConfigError(f"--crash {crash!r} names no process; n = {scenario.n}")
     init = scenario.initial()
     lines = [
         _json(

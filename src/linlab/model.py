@@ -39,7 +39,10 @@ class PreconditionViolated(Exception):
     """Caller broke an operation's stated precondition."""
 
 
-@dataclass(frozen=True)
+UID_RADIX = 1024  # Message.uid packs sender and receiver ids below this
+
+
+@dataclass(frozen=True, slots=True)
 class Message:
     """A buffered message. Identity is (seq, sender, receiver).
 
@@ -58,7 +61,7 @@ class Message:
     @property
     def uid(self) -> int:
         # order-embedding into ints: ascending uid == ascending (seq, sender, receiver)
-        return (self.seq * 1024 + self.sender) * 1024 + self.receiver
+        return (self.seq * UID_RADIX + self.sender) * UID_RADIX + self.receiver
 
     def sort_key(self) -> tuple[int, int]:
         # delivery order within one receiver's view: oldest first, sender id breaking ties
@@ -68,7 +71,7 @@ class Message:
         return f"<{self.sender}->{self.receiver} #{self.seq} {self.payload!r}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """A scheduler choice: process takes one step receiving `received`.
 

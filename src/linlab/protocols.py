@@ -33,7 +33,7 @@ import dataclasses
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .model import Effect, PreconditionViolated
+from .model import UID_RADIX, Effect, PreconditionViolated
 from .seqspec import (
     DONE,
     IllegalOp,
@@ -50,6 +50,24 @@ from .seqspec import (
 OPID_STRIDE = 16  # op_id = process * OPID_STRIDE + per-process counter
 
 
+def _next_op_id(state) -> int:
+    """Packed id of the process's next operation; refuses the one that
+    would collide with the next process's ids."""
+    if state.opcount >= OPID_STRIDE:
+        raise PreconditionViolated(
+            f"process {state.pid} invokes more than {OPID_STRIDE} operations;"
+            " packed op ids would collide"
+        )
+    return state.pid * OPID_STRIDE + state.opcount
+
+
+def _check_process_count(n: int) -> None:
+    if n > UID_RADIX:
+        raise PreconditionViolated(
+            f"n = {n} exceeds {UID_RADIX} processes; message uids would collide"
+        )
+
+
 class ProtocolUnderTest:
     """Deterministic per-process automaton interface."""
 
@@ -60,6 +78,17 @@ class ProtocolUnderTest:
         raise NotImplementedError
 
     def transition(self, state, received) -> Effect:
+        """One step of a process in `state` receiving `received` (a
+        Message, or None for the idle receipt).
+
+        A transition is a pure function of the state and of the
+        received message's `sender` and `payload`; it never reads the
+        message's `seq` or `receiver`. Its Effect holds immutable values
+        only. ScriptedSystem memoizes transitions on exactly that key and
+        hands the same Effect, and so the same state object, to every
+        configuration that takes the step: states are shared between
+        configurations and must never be mutated.
+        """
         raise NotImplementedError
 
     def invoke(self, state, op: Op) -> Effect:
@@ -86,6 +115,7 @@ class NaiveTosProtocol(ProtocolUnderTest):
     def __init__(self, n: int):
         if n < 2:
             raise PreconditionViolated("need at least a setter and a tester")
+        _check_process_count(n)
         self.name = "naive-tos"
         self.num_processes = n
 
@@ -103,7 +133,7 @@ class NaiveTosProtocol(ProtocolUnderTest):
         return Effect(state, (), tuple(events))
 
     def invoke(self, state: NaiveTosState, op: Op) -> Effect:
-        op_id = state.pid * OPID_STRIDE + state.opcount
+        op_id = _next_op_id(state)
         state = replace(state, opcount=state.opcount + 1)
         if op.name == "SET":
             sends = tuple(
@@ -148,6 +178,7 @@ class AbdRegisterProtocol(ProtocolUnderTest):
     def __init__(self, n: int, writers: Sequence[int], reader: int):
         if n < 3:
             raise PreconditionViolated("quorum register needs n >= 3")
+        _check_process_count(n)
         if not writers or not (0 <= reader < n):
             raise PreconditionViolated("need at least one writer and a reader")
         if any(not (0 <= w < n) for w in writers):
@@ -247,7 +278,7 @@ class AbdRegisterProtocol(ProtocolUnderTest):
     def invoke(self, state: AbdState, op: Op) -> Effect:
         if state.pending is not None:
             raise PreconditionViolated("one operation per process at a time")
-        op_id = state.pid * OPID_STRIDE + state.opcount
+        op_id = _next_op_id(state)
         state = replace(state, opcount=state.opcount + 1)
         if op.name == "WRITE":
             if state.pid not in self.writers:
@@ -353,6 +384,7 @@ class TrivialAckProtocol(ProtocolUnderTest):
     def __init__(self, n: int, acks_needed: Optional[int] = None):
         if n < 3:
             raise PreconditionViolated("trivial-ack object needs n >= 3")
+        _check_process_count(n)
         self.name = "trivial-ack"
         self.num_processes = n
         self.acks_needed = n - 2 if acks_needed is None else acks_needed
@@ -380,7 +412,7 @@ class TrivialAckProtocol(ProtocolUnderTest):
         return Effect(state, (), ())
 
     def invoke(self, state: TrivialAckState, op: Op) -> Effect:
-        op_id = state.pid * OPID_STRIDE + state.opcount
+        op_id = _next_op_id(state)
         state = replace(state, opcount=state.opcount + 1)
         events = [inv(op, state.pid, op_id)]
         if self.acks_needed <= 0:
@@ -479,11 +511,24 @@ class ScriptedSystem(ProtocolUnderTest):
         self.driver = driver
         self.name = name
         self.num_processes = inner.num_processes
+        self._effects: dict = {}  # transition memo, see transition
 
     def init_state(self, process: int) -> SysState:
         return SysState(pc=0, flags=frozenset(), impl=self.inner.init_state(process))
 
     def transition(self, state: SysState, received) -> Effect:
+        """Memoized on (state, sender, payload): see the contract in
+        ProtocolUnderTest.transition."""
+        if received is None:
+            key = (state, None)
+        else:
+            key = (state, received.sender, received.payload)
+        effect = self._effects.get(key)
+        if effect is None:
+            effect = self._effects[key] = self._transition(state, received)
+        return effect
+
+    def _transition(self, state: SysState, received) -> Effect:
         pc, flags, impl = state.pc, state.flags, state.impl
         sends: list = []
         events: list = []

@@ -34,7 +34,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .checkers import (
     ExecutionTree,
@@ -82,7 +82,7 @@ class Scenario:
     avoid_completions: bool = True
     _absolute: dict = field(default_factory=dict, repr=False, compare=False)
     _bounded: dict = field(default_factory=dict, repr=False, compare=False)
-    _fair_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _suffixes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def system(self):
@@ -158,20 +158,73 @@ def _stable(a: Configuration, b: Configuration) -> bool:
     return a.states == b.states and a.buffer == b.buffer and a.channels == b.channels
 
 
+DECIDED, QUIESCENT, BOUND = "decided", "quiescent", "bound"
+
+
+class _Suffix(NamedTuple):
+    """How a finished fair run went on from one of its round boundaries:
+    the run, where the boundary sits in its history and in its final
+    event log, and how the run ended."""
+
+    run: FairRun
+    offset: int
+    logged: int
+    ended: str
+
+    def fits(self, budget: int) -> bool:
+        """Would a run with `budget` steps left at this boundary take
+        exactly this suffix? A decided or quiescent suffix fits any
+        budget that covers it; one cut at the bound only its own."""
+        length = len(self.run.history) - self.offset
+        return length == budget if self.ended == BOUND else length <= budget
+
+    def resume(self, history: list, current: Configuration) -> FairRun:
+        """The whole run for a caller that reached this boundary at
+        `current` after taking `history`."""
+        tail = self.run.history[self.offset:]
+        end = self.run.final
+        final = Configuration(
+            states=end.states,
+            buffer=end.buffer,
+            events=current.events + end.events[self.logged:],
+            step_count=current.step_count + len(tail),
+            channels=end.channels,
+        )
+        return FairRun(tuple(history) + tail, self.run.value, final)
+
+
 def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> FairRun:
     """Round-robin over live processes, oldest message first, until the
-    decision returns, the system stops changing, or the bound is hit."""
+    decision returns, the system stops changing, or the bound is hit.
+
+    What happens after a round boundary depends only on the boundary's
+    vkey, the live processes and the steps left, so every boundary a
+    run passes is remembered in the scenario's suffix memo. A later run
+    that reaches a remembered boundary with a budget the suffix fits
+    takes the suffix instead of stepping it again; the resumed history,
+    value, event log and core equal those of the stepped run.
+    """
     system = scenario.system
     v = scenario.decided(config)
     if v is not None:
         return FairRun((), v, config)
-    live = [p for p in live if p not in scenario.crash_set]
+    live = tuple(p for p in live if p not in scenario.crash_set)
     if not live:
         return FairRun((), TIMEOUT, config)
+    memo = scenario._suffixes
+    boundaries: list = []  # (key, history offset, event-log length)
     history: list = []
     current = config
     steps = 0
+    run = None
+    ended = BOUND
     while steps < bound:
+        key = (scenario.vkey(current), live)
+        hit = memo.get(key)
+        if hit is not None and hit.fits(bound - steps):
+            run, ended = hit.resume(history, current), hit.ended
+            break
+        boundaries.append((key, steps, len(current.events)))
         before = current
         for p in live:
             step = enabled_steps(current, p, SchedulingMode.EARLIEST_ONLY)[0]
@@ -180,12 +233,21 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             steps += 1
             v = scenario.decided(current)
             if v is not None:
-                return FairRun(tuple(history), v, current)
+                run, ended = FairRun(tuple(history), v, current), DECIDED
+                break
             if steps >= bound:
                 break
-        if _stable(before, current):
-            break  # quiescent: nothing will ever change again
-    return FairRun(tuple(history), TIMEOUT, current)
+        if run is not None:
+            break
+        if steps < bound and _stable(before, current):
+            ended = QUIESCENT  # nothing will ever change again
+            break
+    if run is None:
+        run = FairRun(tuple(history), TIMEOUT, current)
+    for key, offset, logged in boundaries:
+        if ended != BOUND or key not in memo:
+            memo[key] = _Suffix(run, offset, logged, ended)
+    return run
 
 
 def fair_completion(
@@ -195,6 +257,10 @@ def fair_completion(
     bound: Optional[int] = None,
 ) -> FairRun:
     """Fair round-robin schedule with at most one crashed process."""
+    if crashed is not None and not (isinstance(crashed, int) and 0 <= crashed < scenario.n):
+        raise PreconditionViolated(
+            f"crashed must be None or a process id below {scenario.n}, not {crashed!r}"
+        )
     bound = scenario.fair_bound if bound is None else bound
     live = [p for p in range(scenario.n) if p != crashed]
     return _fair_run(scenario, config, live, bound)
@@ -258,19 +324,6 @@ class Valence:
         }
 
 
-def _memo_fair(scenario: Scenario, config: Configuration):
-    """Plain fair-run outcome, memoized by behavioral key. Histories
-    recorded under one key replay against any configuration sharing it:
-    equal cores mean equal buffers, so the same message identities."""
-    key = scenario.vkey(config)
-    hit = scenario._fair_memo.get(key)
-    if hit is None:
-        run = fair_completion(scenario, config)
-        hit = (run.value, run.history)
-        scenario._fair_memo[key] = hit
-    return hit
-
-
 def classify_valence(
     scenario: Scenario, config: Configuration, depth: Optional[int] = None
 ) -> Valence:
@@ -279,9 +332,10 @@ def classify_valence(
     The probe battery runs fair schedules (plain, staged, single-crash)
     from the configuration itself. Those deliver oldest-first, which can
     systematically hide one decision value behind stale replies, so the
-    bounded sweep additionally runs a memoized fair probe from every
-    configuration within probe_depth: a short out-of-order prefix plus a
-    fair tail reaches values no oldest-first schedule can.
+    bounded sweep additionally runs a fair probe from every configuration
+    within probe_depth: a short out-of-order prefix plus a fair tail
+    reaches values no oldest-first schedule can. Every probe goes through
+    the scenario's suffix memo (see _fair_run).
 
     Bivalent and already-decided verdicts are absolute and cached by
     behavioral key; bounded verdicts are cached per (key, depth).
@@ -305,8 +359,7 @@ def classify_valence(
         if run.value is not TIMEOUT and run.value not in certs:
             certs[run.value] = prefix + run.history
 
-    value, tail = _memo_fair(scenario, config)
-    record(FairRun(tail, value, config))
+    record(fair_completion(scenario, config))
     for q in range(scenario.n):
         if 0 in certs and 1 in certs:
             break
@@ -341,9 +394,7 @@ def classify_valence(
                         continue
                     visited.add(k2)
                     if d + 1 <= scenario.probe_depth:
-                        fv, fh = _memo_fair(scenario, nxt)
-                        if fv is not TIMEOUT and fv not in certs:
-                            certs[fv] = h2 + fh
+                        record(fair_completion(scenario, nxt), h2)
                     if d + 1 >= depth:
                         truncated = True
                     else:

@@ -57,6 +57,12 @@ class TestSimulate:
         assert len(lines) == 3  # header + the two scripted steps
         assert all(rec["process"] == 1 for rec in lines[1:])
 
+    def test_crash_outside_the_system_is_a_config_error(self, capsys):
+        # naive-tos has processes 0 and 1 only
+        code, out = run_cli(capsys, "simulate", "--protocol", "naive-tos", "--crash", "2")
+        assert code == 2
+        assert out == ""
+
     def test_unreplayable_schedule_is_a_config_error(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(

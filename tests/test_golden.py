@@ -1,0 +1,72 @@
+"""CLI goldens: the exact stdout and exit code of fixed invocations.
+
+Each case below has a file tests/golden/<case>.json holding its argv,
+its exit code and its stdout, compared byte for byte. The files were
+frozen before the step layer was memoized; a change that alters any of
+them changes a verdict, a certificate or a schedule. Regenerate them
+only when such a change is intended, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "valence-naive-tos": ["valence", "--protocol", "naive-tos"],
+    "valence-abd-tos": ["valence", "--protocol", "abd-tos"],
+    "valence-abd-reg": ["valence", "--protocol", "abd-reg"],
+    "hbi-abd-tos-r3": ["hbi", "--protocol", "abd-tos", "--rounds", "3"],
+    "hbi-naive-tos-r6": ["hbi", "--protocol", "naive-tos", "--rounds", "6"],
+    "explore-naive-tos-d12": ["explore", "--protocol", "naive-tos", "--depth", "12"],
+    "explore-abd-tos-d10": ["explore", "--protocol", "abd-tos", "--depth", "10"],
+    "explore-abd-reg-d10": ["explore", "--protocol", "abd-reg", "--depth", "10"],
+    "progress-trivial-ack-d6": ["progress", "--protocol", "trivial-ack", "--depth", "6"],
+    "progress-abd-tos-d6": ["progress", "--protocol", "abd-tos", "--depth", "6"],
+    "simulate-abd-reg-seed3": ["simulate", "--protocol", "abd-reg", "--seed", "3"],
+    "simulate-abd-tos-crash1": ["simulate", "--protocol", "abd-tos", "--crash", "1"],
+    "check-naive-tos-sl-d5": ["check", "--protocol", "naive-tos", "--mode", "sl",
+                              "--depth", "5"],
+    "demo-claim3": ["demo", "claim3"],
+}
+
+
+def run(argv) -> tuple:
+    """Exit code and stdout of one in-process CLI call."""
+    from linlab.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case):
+    golden = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert golden["argv"] == CASES[case]
+    code, out = run(CASES[case])
+    assert code == golden["exit"]
+    assert out == golden["stdout"]
+
+
+def write() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in sorted(CASES.items()):
+        code, out = run(argv)
+        record = {"argv": argv, "exit": code, "stdout": out}
+        (GOLDEN / f"{case}.json").write_text(json.dumps(record, indent=1) + "\n")
+        print(f"{case}: exit {code}, {len(out)} bytes")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    write()

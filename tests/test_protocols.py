@@ -1,11 +1,14 @@
 """Protocols under test and the driver programs wrapped around them."""
 
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
 from linlab.checkers import is_linearizable
 from linlab.model import (
+    UID_RADIX,
+    PreconditionViolated,
     SchedulingMode,
     Step,
     apply_step,
@@ -13,6 +16,8 @@ from linlab.model import (
     initial_configuration,
 )
 from linlab.protocols import (
+    OPID_STRIDE,
+    PROTOCOLS,
     DriverProgram,
     Invoke,
     ScriptedSystem,
@@ -23,7 +28,7 @@ from linlab.protocols import (
     make_driver_tos,
     make_trivial_ack_object,
 )
-from linlab.seqspec import OpHistory, READ, REG_SPEC, RESPONSE, write
+from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
 from linlab.valence import build_scenario, fair_completion
 
 
@@ -152,14 +157,15 @@ class TestAbdTos:
 
     def test_test_without_setter_returns_zero(self):
         s = build_scenario("abd-tos")
-        run = fair_completion(s, s.initial(), crashed={1})
+        run = fair_completion(s, s.initial(), crashed=1)
         assert run.value == 0
+        assert {step.process for step in run.history} == {0, 2}
 
     def test_wrapped_register_keeps_quorum_liveness(self):
         # any single crash still leaves a majority of 3
         s = build_scenario("abd-tos")
         for dead in range(3):
-            run = fair_completion(s, s.initial(), crashed={dead})
+            run = fair_completion(s, s.initial(), crashed=dead)
             if dead == s.decision_process:
                 continue
             assert run.value in (0, 1)
@@ -226,3 +232,22 @@ class TestDriverPrograms:
         config = apply_step(config, Step(0, qt[0]), s.system)
         invs = [ev for ev in config.events if ev.process == 0 and ev.op.name == "READ"]
         assert not invs
+
+
+class TestPackedIdentifiers:
+    FIRST_OP = {"naive-tos": TEST, "abd-tos": TEST, "abd-reg": READ, "trivial-ack": Op("OP")}
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_invoke_refuses_an_op_id_past_the_stride(self, name):
+        inner = build_protocol(name).system.inner
+        state = inner.init_state(0)
+        last = inner.invoke(replace(state, opcount=OPID_STRIDE - 1), self.FIRST_OP[name])
+        assert last.events[0].op_id == OPID_STRIDE - 1
+        with pytest.raises(PreconditionViolated):
+            inner.invoke(replace(state, opcount=OPID_STRIDE), self.FIRST_OP[name])
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_more_processes_than_message_uids_pack_is_refused(self, name):
+        assert build_protocol(name, UID_RADIX).system.num_processes == UID_RADIX
+        with pytest.raises(PreconditionViolated):
+            build_protocol(name, UID_RADIX + 1)

@@ -39,6 +39,12 @@ class TestFairSchedules:
         run = fair_completion(s, s.initial(), crashed=s.decision_process)
         assert run.value is TIMEOUT
 
+    @pytest.mark.parametrize("crashed", [{1}, 3, -1, "1"])
+    def test_crash_argument_must_name_one_process(self, crashed):
+        s = build_scenario("abd-tos")
+        with pytest.raises(PreconditionViolated):
+            fair_completion(s, s.initial(), crashed=crashed)
+
     def test_staged_probes_hit_both_values(self):
         # holding one side back decides the race each way
         s = build_scenario("naive-tos")
