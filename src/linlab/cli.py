@@ -464,6 +464,8 @@ def main(argv=None) -> int:
     command = cfg.pop("command")
     try:
         cfg = _load_config(cfg)
+        if command != "simulate" and cfg.get("crash") is not None:
+            raise ConfigError(f"crash applies only to simulate, not to {command}")
         return _COMMANDS[command](cfg)
     except (ConfigError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

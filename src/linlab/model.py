@@ -177,31 +177,35 @@ class Configuration:
             _canonical_bytes((self.states, self.buffer, self.channels, self.events))
         )
 
-    def core_digest(self) -> int:
-        """Digest of the forward-behavior core (no event log).
-
-        Two configurations with equal core behave identically from here
-        on; their logs may interleave past events differently.
-        """
-        return _digest64(_canonical_bytes((self.states, self.buffer, self.channels)))
-
     def core_key(self) -> tuple:
         """The forward-behavior core as a hashable value, cached.
 
         Message equality deliberately ignores payloads (identity within
         one run is positional), but across different schedules the same
-        slot can carry different payloads, so the key spells them out.
+        slot can carry different payloads, so the key spells them out:
+        (states, frozenset of (seq, sender, receiver, payload), channels).
+
+        Once a configuration's key has been read, apply_step derives each
+        child's key from it (the parent's buffer part minus the received
+        message plus the sent ones) and parks it on the child, where this
+        method picks it up on the child's first read. Keys are built from
+        scratch only for configurations with no read parent: the initial
+        configuration, configurations built directly, and children of
+        configurations whose key nobody read, such as the inner steps of
+        a fair run.
         """
-        try:
-            return self._core_key
-        except AttributeError:
-            key = (
-                self.states,
-                frozenset((m.seq, m.sender, m.receiver, m.payload) for m in self.buffer),
-                self.channels,
-            )
-            object.__setattr__(self, "_core_key", key)
-            return key
+        cache = self.__dict__
+        key = cache.get("_core_key")
+        if key is None:
+            key = cache.get("_parked_key")
+            if key is None:
+                key = (
+                    self.states,
+                    frozenset((m.seq, m.sender, m.receiver, m.payload) for m in self.buffer),
+                    self.channels,
+                )
+            cache["_core_key"] = key
+        return key
 
     def __eq__(self, other) -> bool:
         return (
@@ -263,16 +267,39 @@ def apply_step(config: Configuration, step: Step, protocol) -> Configuration:
 
     states = list(config.states)
     states[p] = effect.state
+    states = tuple(states)
     channels = list(config.channels)
     channels[p] = tuple(row)
+    channels = tuple(channels)
 
-    return Configuration(
-        states=tuple(states),
+    child = Configuration(
+        states=states,
         buffer=frozenset(buffer),
         events=config.events + tuple(effect.events),
         step_count=config.step_count + 1,
-        channels=tuple(channels),
+        channels=channels,
     )
+    parent_key = config.__dict__.get("_core_key")
+    if parent_key is not None:  # derive the child's key, see core_key
+        keys = parent_key[1]
+        got = step.received
+        if got is not None or effect.sends:
+            keys = set(keys)
+            if got is not None:
+                keys.discard((got.seq, got.sender, got.receiver, got.payload))
+            # the send loop above is not reused, so that steps with no
+            # read parent (most of a fair run) pay nothing for this
+            seqs = list(config.channels[p])
+            for receiver, payload in effect.sends:
+                keys.add((seqs[receiver], p, receiver, payload))
+                seqs[receiver] += 1
+            keys = frozenset(keys)
+        # the derived set always contains the true one; equal sizes make
+        # them equal (a received payload that differs from the buffered
+        # one would leave a stale tuple behind)
+        if len(keys) == len(child.buffer):
+            child.__dict__["_parked_key"] = (states, keys, channels)
+    return child
 
 
 def apply_history(

@@ -121,7 +121,6 @@ def _fair_progress(scenario: Scenario, config, live, bound: int):
     configuration goes quiescent or spins without progress.
     """
     system = scenario.system
-    responses = sum(1 for ev in config.events if ev.kind == RESPONSE)
     live = sorted(live)
     current = config
     extension: list = []
@@ -130,10 +129,11 @@ def _fair_progress(scenario: Scenario, config, live, bound: int):
         before = current
         for p in live:
             step = enabled_steps(current, p, SchedulingMode.EARLIEST_ONLY)[0]
+            logged = len(current.events)
             current = apply_step(current, step, system)
             extension.append(step)
             steps += 1
-            if sum(1 for ev in current.events if ev.kind == RESPONSE) > responses:
+            if any(ev.kind == RESPONSE for ev in current.events[logged:]):
                 return True, tuple(extension), False
             if steps >= bound:
                 break

@@ -493,6 +493,13 @@ class SysState:
     flags: frozenset  # driver tags received so far
     impl: object
 
+    # hashed once: every memo lookup and vkey probe hashes the whole state
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.pc, self.flags, self.impl)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 class ScriptedSystem(ProtocolUnderTest):
     """A protocol composed with a driver program.

@@ -184,20 +184,6 @@ class OpHistory:
         """Real-time order: a's response happened before b's invocation."""
         return a.res_index is not None and a.res_index < b.inv_index
 
-    def precedence_pairs(self) -> frozenset[tuple[int, int]]:
-        """All (earlier op_id, later op_id) pairs in real-time order."""
-        pairs = set()
-        for a in self._ops:
-            if a.res_index is None:
-                continue
-            for b in self._ops:
-                if a.op_id != b.op_id and a.res_index < b.inv_index:
-                    pairs.add((a.op_id, b.op_id))
-        return frozenset(pairs)
-
-    def project(self, process: int) -> "OpHistory":
-        return OpHistory(tuple(ev for ev in self.events if ev.process == process))
-
     def to_json(self) -> list[dict]:
         return [ev.to_json() for ev in self.events]
 

@@ -73,7 +73,6 @@ class Scenario:
     built: BuiltProtocol
     name: str
     seed: Optional[int] = None
-    crash_set: tuple = ()
     rotation: Optional[tuple] = None
     fair_bound: int = 240
     valence_depth: int = 8
@@ -208,7 +207,7 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     v = scenario.decided(config)
     if v is not None:
         return FairRun((), v, config)
-    live = tuple(p for p in live if p not in scenario.crash_set)
+    live = tuple(live)
     if not live:
         return FairRun((), TIMEOUT, config)
     memo = scenario._suffixes

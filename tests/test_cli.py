@@ -211,6 +211,31 @@ class TestConfigHandling:
         code, _ = run_cli(capsys, "valence", "--config", str(cfgfile))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["valence", "--protocol", "abd-tos"],
+            ["hbi", "--protocol", "abd-tos"],
+            ["explore", "--protocol", "naive-tos"],
+            ["check", "--protocol", "naive-tos"],
+            ["progress", "--protocol", "naive-tos"],
+            ["demo", "init-bivalent"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_crash_outside_simulate_is_refused(self, capsys, tmp_path, argv):
+        # only simulate runs a crashed schedule; the rest would ignore it
+        code = main(argv + ["--crash", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "crash applies only to simulate" in captured.err
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"crash": 1}))
+        code = main(argv + ["--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "crash applies only to simulate" in captured.err
+
 
 class TestDemo:
     @pytest.mark.parametrize("token", ["init-bivalent", "claim2", "claim3"])
