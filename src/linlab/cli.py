@@ -458,12 +458,28 @@ def _load_config(cfg: dict) -> dict:
     return cfg
 
 
+_INT_KEYS = ("n", "depth", "rounds", "crash", "seed", "max_nodes", "max_triples")
+
+
+def _check_ints(cfg: dict) -> None:
+    """Integers from a config file arrive unchecked, and a negative depth
+    or round count would otherwise run a search that vacuously holds."""
+    for name in _INT_KEYS:
+        value = cfg.get(name)
+        if value is not None and type(value) is not int:
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+    for name in ("depth", "rounds"):
+        if cfg.get(name) is not None and cfg[name] < 0:
+            raise ConfigError(f"{name} must not be negative, not {cfg[name]}")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cfg = vars(args)
     command = cfg.pop("command")
     try:
         cfg = _load_config(cfg)
+        _check_ints(cfg)
         if command != "simulate" and cfg.get("crash") is not None:
             raise ConfigError(f"crash applies only to simulate, not to {command}")
         return _COMMANDS[command](cfg)

@@ -18,8 +18,6 @@ makes the commutation check meaningful.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -110,40 +108,7 @@ class SchedulingMode(Enum):
     FULL_NONDET = "full-nondet"
 
 
-def _canonical_bytes(x) -> bytes:
-    """Stable byte encoding for hashing. Sorts unordered containers."""
-    if x is None:
-        return b"N"
-    if x is True:
-        return b"T"
-    if x is False:
-        return b"F"
-    if isinstance(x, int):
-        return b"i" + str(x).encode()
-    if isinstance(x, str):
-        e = x.encode()
-        return b"s" + str(len(e)).encode() + b":" + e
-    if isinstance(x, bytes):
-        return b"b" + str(len(x)).encode() + b":" + x
-    if isinstance(x, tuple) or isinstance(x, list):
-        return b"(" + b"".join(_canonical_bytes(i) for i in x) + b")"
-    if isinstance(x, frozenset) or isinstance(x, set):
-        return b"{" + b"".join(sorted(_canonical_bytes(i) for i in x)) + b"}"
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        inner = b"".join(
-            _canonical_bytes(getattr(x, f.name)) for f in dataclasses.fields(x)
-        )
-        return b"<" + type(x).__name__.encode() + inner + b">"
-    if isinstance(x, Enum):
-        return b"e" + x.name.encode()
-    raise TypeError(f"cannot canonically encode {type(x).__name__}")
-
-
-def _digest64(data: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Configuration:
     """Global system state: per-process states, buffer, event log.
 
@@ -166,16 +131,6 @@ class Configuration:
         msgs = [m for m in self.buffer if m.receiver == process]
         msgs.sort(key=Message.sort_key)
         return msgs
-
-    def digest(self) -> int:
-        """64-bit stable digest of the canonical serialization.
-
-        Excludes step_count: configurations that differ only in how many
-        steps produced them behave identically.
-        """
-        return _digest64(
-            _canonical_bytes((self.states, self.buffer, self.channels, self.events))
-        )
 
     def core_key(self) -> tuple:
         """The forward-behavior core as a hashable value, cached.
@@ -207,23 +162,10 @@ class Configuration:
             cache["_core_key"] = key
         return key
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Configuration)
-            and self.states == other.states
-            and self.buffer == other.buffer
-            and self.events == other.events
-            and self.step_count == other.step_count
-            and self.channels == other.channels
-        )
-
-    def __hash__(self) -> int:
-        return self.digest()
-
     def __repr__(self) -> str:
         return (
             f"Configuration(steps={self.step_count}, buffered={len(self.buffer)}, "
-            f"events={len(self.events)}, digest={self.digest():016x})"
+            f"events={len(self.events)})"
         )
 
 

@@ -19,14 +19,13 @@ rather than an interesting guarantee.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
 from .model import SchedulingMode, apply_step, enabled_steps
 from .seqspec import RESPONSE, OpHistory
-from .valence import Scenario, build_scenario
+from .valence import Scenario, build_scenario, reach
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,6 @@ class ProgressVerdict:
         }
 
 
-def _live_pending(config, live) -> tuple:
-    hist = OpHistory(config.events)
-    return tuple(
-        f"{o.op}#{o.op_id}@p{o.process}" for o in hist.pending_ops() if o.process in live
-    )
-
-
 def _fair_progress(scenario: Scenario, config, live, bound: int):
     """Round-robin the live processes until some operation completes.
 
@@ -142,63 +134,31 @@ def _fair_progress(scenario: Scenario, config, live, bound: int):
     return False, tuple(extension), False
 
 
-def _reachable(scenario: Scenario, depth: int):
-    """Breadth-first reachable configurations with behavioral dedup.
-
-    Yields (config, history, depth, frontier_exhausted_flag) where the
-    flag is reported through the generator's return value instead; the
-    caller inspects the StopIteration value via the helper below.
-    """
-    system = scenario.system
-    init = scenario.initial()
-    visited = {scenario.vkey(init)}
-    queue = deque([(init, (), 0)])
-    truncated = False
-    while queue:
-        config, hist, d = queue.popleft()
-        yield config, hist, d
-        if d >= depth:
-            truncated = truncated or any(
-                True
-                for p in range(scenario.n)
-                for s in enabled_steps(config, p, SchedulingMode.FULL_NONDET)
-                if scenario.vkey(apply_step(config, s, system)) not in visited
-            )
-            continue
-        for p in range(scenario.n):
-            for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
-                nxt = apply_step(config, step, system)
-                k = scenario.vkey(nxt)
-                if k in visited:
-                    continue
-                visited.add(k)
-                queue.append((nxt, hist + (step,), d + 1))
-    return truncated
-
-
 def _sweep(scenario: Scenario, depth: int, crash_choices, fair_bound: int):
     """Shared engine: for every reachable configuration and every crash
-    choice with a surviving pending operation, demand fair progress."""
+    choice with a surviving pending operation, demand fair progress.
+
+    The sweep is truncated when some class lies beyond `depth`: the
+    first class reach yields at depth + 1 ends it."""
     checked = 0
-    gen = _reachable(scenario, depth)
-    truncated = False
-    while True:
-        try:
-            config, hist, _d = next(gen)
-        except StopIteration as stop:
-            truncated = bool(stop.value)
-            break
+    for config, hist, d in reach(scenario, scenario.initial(), depth + 1):
+        if d > depth:
+            return True, None, checked, True
         checked += 1
+        pending = [
+            (o.process, f"{o.op}#{o.op_id}@p{o.process}")
+            for o in OpHistory(config.events).pending_ops()
+        ]
         for crashed in crash_choices:
-            live = [p for p in range(scenario.n) if p not in crashed]
-            pending = _live_pending(config, live)
-            if not pending:
+            survivors = tuple(label for p, label in pending if p not in crashed)
+            if not survivors:
                 continue
+            live = [p for p in range(scenario.n) if p not in crashed]
             ok, ext, quiescent = _fair_progress(scenario, config, live, fair_bound)
             if not ok:
-                witness = ProgressWitness(hist, frozenset(crashed), pending, ext, quiescent)
-                return False, witness, checked, truncated
-    return True, None, checked, truncated
+                witness = ProgressWitness(hist, frozenset(crashed), survivors, ext, quiescent)
+                return False, witness, checked, False
+    return True, None, checked, False
 
 
 def check_1rlf(

@@ -34,6 +34,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .checkers import (
@@ -141,6 +143,61 @@ def pending_count(config: Configuration) -> int:
 
 def op_history_of(config: Configuration) -> OpHistory:
     return OpHistory(config.events)
+
+
+# --- reachability ------------------------------------------------------------
+
+
+def reach(
+    scenario: Scenario,
+    start: Configuration,
+    depth: int,
+    *,
+    forbid: Optional[Step] = None,
+    stop_decided: bool = False,
+    rank=None,
+):
+    """Breadth-first sweep of the configurations reachable from start.
+
+    Yields (config, history, d) once per vkey class within `depth`
+    steps, start first, each as soon as it is discovered, so a caller
+    that stops early pays for no more than it saw. Within a layer,
+    steps go by process id, idle receipt first, then messages oldest
+    first. Classes at `depth` are yielded but never kept for expansion;
+    so are decided classes under stop_decided. `forbid` is a step no
+    history takes. `rank` maps a configuration to a sort key: each
+    layer is expanded in that order (a stable sort of discovery order),
+    which orders the layer below it.
+    """
+    system = scenario.system
+    key = scenario.vkey(start)
+    seen = {key}
+    yield start, (), 0
+    layer = deque()
+    if depth > 0 and not (stop_decided and key[1] is not None):
+        layer.append((start, ()))
+    d = 0
+    while layer:
+        d += 1
+        if rank is not None:
+            layer = deque(sorted(layer, key=lambda item: rank(item[0])))
+        below: deque = deque()
+        while layer:
+            config, hist = layer.popleft()
+            for p in range(scenario.n):
+                for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
+                    if forbid is not None and step == forbid:
+                        continue
+                    child = apply_step(config, step, system)
+                    key = scenario.vkey(child)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    child_hist = hist + (step,)
+                    yield child, child_hist, d
+                    if d < depth and not (stop_decided and key[1] is not None):
+                        below.append((child, child_hist))
+        layer = below
 
 
 # --- fair schedules ---------------------------------------------------------
@@ -371,37 +428,25 @@ def classify_valence(
         scenario._absolute[key] = out
         return out
 
-    # bounded breadth-first sweep of every scheduling choice
-    system = scenario.system
-    visited = {key}
-    queue: deque = deque([(config, (), 0)])
+    # bounded breadth-first sweep of every scheduling choice; decided
+    # classes settle their valence and are not expanded. The sweep is
+    # truncated when an undecided class sits at `depth`, and it always
+    # covers one layer, even at depth 0.
     truncated = False
-    while queue:
-        current, hist, d = queue.popleft()
-        for p in range(scenario.n):
-            for step in enabled_steps(current, p, SchedulingMode.FULL_NONDET):
-                nxt = apply_step(current, step, system)
-                h2 = hist + (step,)
-                v = scenario.decided(nxt)
-                if v is not None:
-                    # decided: valence below is settled, no need to expand
-                    if v not in certs:
-                        certs[v] = h2
-                else:
-                    k2 = scenario.vkey(nxt)
-                    if k2 in visited:
-                        continue
-                    visited.add(k2)
-                    if d + 1 <= scenario.probe_depth:
-                        record(fair_completion(scenario, nxt), h2)
-                    if d + 1 >= depth:
-                        truncated = True
-                    else:
-                        queue.append((nxt, h2, d + 1))
-                if 0 in certs and 1 in certs:
-                    out = Valence(ValenceTag.BIVALENT, certs, exhausted=False, depth=d + 1)
-                    scenario._absolute[key] = out
-                    return out
+    for nxt, hist, d in reach(scenario, config, max(depth, 1), stop_decided=True):
+        if d == 0:
+            continue  # the configuration itself, probed above
+        v = scenario.decided(nxt)
+        if v is not None:
+            certs.setdefault(v, hist)
+        else:
+            if d <= scenario.probe_depth:
+                record(fair_completion(scenario, nxt), hist)
+            truncated = truncated or d >= depth
+        if 0 in certs and 1 in certs:
+            out = Valence(ValenceTag.BIVALENT, certs, exhausted=False, depth=d)
+            scenario._absolute[key] = out
+            return out
 
     if len(certs) == 1 and not truncated:
         v = next(iter(certs))
@@ -428,15 +473,10 @@ class BivalentSuccessor:
 @dataclass
 class SuccessorNotFound:
     explored: int
-    frontier: int
     evidence: tuple
 
     def __bool__(self) -> bool:  # truthiness mirrors "found"
         return False
-
-
-def _same_step(a: Step, b: Step) -> bool:
-    return a.process == b.process and a.received == b.received
 
 
 def bivalent_successor(
@@ -449,13 +489,12 @@ def bivalent_successor(
     """Find a bivalent configuration of the form e(E), E reachable from
     config without ever applying e.
 
-    Breadth-first over detour length, insertion order canonical within a
-    layer (process id ascending, idle receipt before messages, messages
-    oldest first). When the scenario asks to avoid completions, a
-    completion-free bivalent successor at any depth beats a completing
-    one at a shallower depth; the shallowest completing candidate is
-    remembered as a fallback. e stays applicable along every detour
-    because only e consumes its message.
+    Breadth-first over detour length, in reach's canonical order. When
+    the scenario asks to avoid completions, a completion-free bivalent
+    successor at any depth beats a completing one at a shallower depth;
+    the shallowest completing candidate is remembered as a fallback. e
+    stays applicable along every detour because only e consumes its
+    message.
     """
     if check_start:
         start = classify_valence(scenario, config)
@@ -466,48 +505,29 @@ def bivalent_successor(
 
     system = scenario.system
     base_completed = completed_count(config)
-    visited = {scenario.vkey(config)}
-    layer: list = [(config, ())]
     explored = 0
     cand_tags: dict = {}  # detour -> ValenceTag of e(detour config)
     held_configs: dict = {}  # detours ending in a step of e.process, for evidence
     fallback = None  # shallowest bivalent-but-completing candidate
 
-    for _ in range(search_depth + 1):
-        for cfg, det in layer:
-            succ = apply_step(cfg, step_e, system)
-            cls = classify_valence(scenario, succ)
-            explored += 1
-            cand_tags[det] = cls.tag
-            if det and det[-1].process == step_e.process:
-                held_configs[det] = cfg
-            if cls.is_bivalent:
-                new = completed_count(succ) - base_completed
-                if new == 0 or not scenario.avoid_completions:
-                    return BivalentSuccessor(succ, det, step_e, cls, new)
-                if fallback is None:
-                    fallback = BivalentSuccessor(succ, det, step_e, cls, new)
-
-        nxt: list = []
-        for cfg, det in layer:
-            for p in range(scenario.n):
-                for step in enabled_steps(cfg, p, SchedulingMode.FULL_NONDET):
-                    if _same_step(step, step_e):
-                        continue  # stay inside the e-free region
-                    c2 = apply_step(cfg, step, system)
-                    k2 = scenario.vkey(c2)
-                    if k2 in visited:
-                        continue
-                    visited.add(k2)
-                    nxt.append((c2, det + (step,)))
-        layer = nxt
-        if not layer:
-            break
+    for cfg, det, _ in reach(scenario, config, search_depth, forbid=step_e):
+        succ = apply_step(cfg, step_e, system)
+        cls = classify_valence(scenario, succ)
+        explored += 1
+        cand_tags[det] = cls.tag
+        if det and det[-1].process == step_e.process:
+            held_configs[det] = cfg
+        if cls.is_bivalent:
+            new = completed_count(succ) - base_completed
+            if new == 0 or not scenario.avoid_completions:
+                return BivalentSuccessor(succ, det, step_e, cls, new)
+            if fallback is None:
+                fallback = BivalentSuccessor(succ, det, step_e, cls, new)
 
     if fallback is not None:
         return fallback
     evidence = _case_two_evidence(scenario, step_e, cand_tags, held_configs)
-    return SuccessorNotFound(explored=explored, frontier=len(layer), evidence=evidence)
+    return SuccessorNotFound(explored=explored, evidence=evidence)
 
 
 def _case_two_evidence(scenario, step_e, cand_tags, held_configs) -> tuple:
@@ -730,12 +750,13 @@ def completed_implies_univalent_audit(
     it (these trees admit no strategy when the audit works as intended,
     and the verdict is recorded on the triple).
 
-    order="completion-first" visits configurations with more completed
-    operations first, which reaches the interesting region much sooner
-    on protocols whose operations take many steps; "bfs" is plain
-    breadth-first. Both are deterministic. Exploration deduplicates by
-    behavioral key, so each behavior class is audited once, through its
-    first-discovered history.
+    order="completion-first" visits, within each depth, configurations
+    that pair a completed operation with a pending one first, which
+    reaches the interesting region much sooner on protocols whose
+    operations take many steps; "bfs" is plain breadth-first. Both are
+    deterministic. Exploration deduplicates by behavioral key, so each
+    behavior class is audited once, through its first-discovered
+    history.
 
     classify_depth tunes how hard each candidate is classified. The
     audit only acts on certified-bivalent configurations, so it defaults
@@ -745,53 +766,19 @@ def completed_implies_univalent_audit(
     if classify_depth is None:
         classify_depth = scenario.probe_depth
     system = scenario.system
-    init = scenario.initial()
     triples: list = []
 
-    visited = {scenario.vkey(init)}
-    counter = 0
-    if order == "completion-first":
-        import heapq
-
-        heap: list = [(0, 0, 0, init, ())]
-
-        def push(c, h, d):
-            nonlocal counter
-            counter += 1
-            # Depth-major order, so this never explores more than plain
-            # BFS. Within a depth, classes that pair a response with a
-            # pending op come first: bivalence with a completed op
-            # needs something still in flight to swing the decision.
-            hot = 0 if completed_count(c) > 0 and pending_count(c) > 0 else 1
-            heapq.heappush(heap, (d, hot, counter, c, h))
-
-        def pop():
-            d, _, _, c, h = heapq.heappop(heap)
-            return c, h, d
-
-        def pending() -> bool:
-            return bool(heap)
-
-    else:
-        dq: deque = deque([(init, (), 0)])
-
-        def push(c, h, d):
-            dq.append((c, h, d))
-
-        def pop():
-            return dq.popleft()
-
-        def pending() -> bool:
-            return bool(dq)
-
-    examined = 0
-    while pending():
-        current, hist, d = pop()
-        examined += 1
+    rank = _completion_rank if order == "completion-first" else None
+    classes = reach(scenario, scenario.initial(), depth, stop_decided=True, rank=rank)
+    if rank is not None:  # examine each layer in the order it is expanded
+        classes = chain.from_iterable(
+            sorted(layer, key=lambda item: rank(item[0]))
+            for _, layer in groupby(classes, key=itemgetter(2))
+        )
+    for examined, (current, hist, d) in enumerate(classes, 1):
         if max_nodes is not None and examined > max_nodes:
             break
-        decided = scenario.decided(current)
-        if completed_count(current) > 0 and decided is None:
+        if completed_count(current) > 0 and scenario.decided(current) is None:
             cls = classify_valence(scenario, current, depth=classify_depth)
             if cls.is_bivalent:
                 c0, _ = apply_history(current, cls.certificates[0], system)
@@ -817,17 +804,15 @@ def completed_implies_univalent_audit(
                 triples.append(triple)
                 if max_triples is not None and len(triples) >= max_triples:
                     return triples
-        if decided is not None or d >= depth:
-            continue  # decided: univalent forever below, nothing to audit
-        for p in range(scenario.n):
-            for step in enabled_steps(current, p, SchedulingMode.FULL_NONDET):
-                nxt = apply_step(current, step, system)
-                k = scenario.vkey(nxt)
-                if k in visited:
-                    continue
-                visited.add(k)
-                push(nxt, hist + (step,), d + 1)
     return triples
+
+
+def _completion_rank(config: Configuration) -> int:
+    """Classes that pair a response with a pending op come first:
+    bivalence with a completed op needs something still in flight to
+    swing the decision. The rank only reorders each layer, so the audit
+    never explores more than plain breadth-first."""
+    return 0 if completed_count(config) > 0 and pending_count(config) > 0 else 1
 
 
 # --- plain history-tree exploration (for the tree checkers) --------------------

@@ -214,6 +214,45 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["check", "--protocol", "naive-tos", "--depth", "-1"],
+            ["explore", "--protocol", "naive-tos", "--depth", "-1"],
+            ["progress", "--protocol", "naive-tos", "--depth", "-1"],
+            ["valence", "--depth", "-2"],
+            ["hbi", "--rounds", "-1"],
+            ["simulate", "--depth", "-1"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_negative_depth_or_rounds_is_refused(self, capsys, tmp_path, argv):
+        # these used to run a vacuous search and exit 0
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "must not be negative" in captured.err
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({argv[-2].lstrip("-"): int(argv[-1])}))
+        code = main(argv[:-2] + ["--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "must not be negative" in captured.err
+
+    @pytest.mark.parametrize(
+        "key", ["depth", "rounds", "n", "seed", "crash", "max_nodes", "max_triples"]
+    )
+    @pytest.mark.parametrize("value", ["3", 2.5, True, [1]], ids=repr)
+    def test_non_integer_config_value_is_refused(self, capsys, tmp_path, key, value):
+        # a string depth used to end in a TypeError traceback
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        command = "simulate" if key == "crash" else "explore"
+        code = main([command, "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"{key} must be an integer" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["valence", "--protocol", "abd-tos"],
             ["hbi", "--protocol", "abd-tos"],
             ["explore", "--protocol", "naive-tos"],
