@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .checkers import SizeLimitError, is_linearizable
-from .model import Step, apply_step, trace_records
+from .model import PreconditionViolated, Step, apply_step, trace_records
 from .progress import check_1rlf, check_nonblocking, default_split, implication_audit
 from .protocols import PROTOCOLS
 from .seqspec import REG_SPEC, TOS_SPEC
@@ -57,7 +57,16 @@ def _scenario(cfg):
         raise ConfigError(
             f"unknown protocol {cfg['protocol']!r}; known: {', '.join(sorted(PROTOCOLS))}"
         )
-    return build_scenario(cfg["protocol"], cfg["n"], seed=cfg["seed"])
+    try:
+        return build_scenario(cfg["protocol"], cfg["n"], seed=cfg["seed"])
+    except PreconditionViolated as exc:  # n out of the protocol's range
+        raise ConfigError(f"bad n for {cfg['protocol']}: {exc}") from None
+
+
+def _opt(cfg, name, default):
+    """cfg[name], where a missing key and null both mean the default."""
+    value = cfg.get(name)
+    return default if value is None else value
 
 
 def _spec_for(scenario):
@@ -99,7 +108,7 @@ def cmd_simulate(cfg) -> int:
     if schedule is not None:
         history = _resolve_schedule(scenario, init, schedule)
     else:
-        bound = cfg["depth"] if cfg["depth"] is not None else scenario.fair_bound
+        bound = _opt(cfg, "depth", scenario.fair_bound)
         run = fair_completion(scenario, init, crashed=cfg["crash"], bound=bound)
         history = run.history
     records = trace_records(init, history, scenario.system)
@@ -139,8 +148,8 @@ def cmd_check(cfg) -> int:
     spec = _spec_for(scenario)
     if spec is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no sequential object to check")
-    depth = cfg["depth"] if cfg["depth"] is not None else 4
-    tree = explore_history_tree(scenario, depth, max_nodes=cfg.get("max_nodes", 600))
+    depth = _opt(cfg, "depth", 4)
+    tree = explore_history_tree(scenario, depth, max_nodes=_opt(cfg, "max_nodes", 600))
 
     report = {"mode": mode, "depth": depth, "nodes": len(tree.nodes)}
     if mode == "lin":
@@ -168,7 +177,7 @@ def cmd_check(cfg) -> int:
 
 def cmd_valence(cfg) -> int:
     scenario = _scenario(cfg)
-    depth = cfg["depth"] if cfg["depth"] is not None else scenario.valence_depth
+    depth = _opt(cfg, "depth", scenario.valence_depth)
     verdict = classify_valence(scenario, scenario.initial(), depth)
     _emit(_json({"protocol": cfg["protocol"], "valence": verdict.to_json()}), cfg["out"])
     return 2 if verdict.tag is ValenceTag.UNKNOWN_AT_BOUND else 0
@@ -179,14 +188,14 @@ def cmd_explore(cfg) -> int:
     spec = _spec_for(scenario)
     if spec is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no sequential object to audit")
-    depth = cfg["depth"] if cfg["depth"] is not None else 10
+    depth = _opt(cfg, "depth", 10)
     mode = scenario.built.checker_mode or "strong"
     triples = completed_implies_univalent_audit(
         scenario,
         depth,
         spec,
         checker_mode=mode,
-        max_triples=cfg.get("max_triples", 1),
+        max_triples=_opt(cfg, "max_triples", 1),
         order="completion-first",
     )
     report = {
@@ -211,8 +220,8 @@ def cmd_explore(cfg) -> int:
 
 def cmd_hbi(cfg) -> int:
     scenario = _scenario(cfg)
-    rounds = cfg["rounds"] if cfg["rounds"] is not None else 3
-    depth = cfg["depth"] if cfg["depth"] is not None else 6
+    rounds = _opt(cfg, "rounds", 3)
+    depth = _opt(cfg, "depth", 6)
     report = build_hbi(scenario, rounds, search_depth=depth)
     _emit(_json(report.to_json()), cfg["out"])
     return 0 if report.stuck is None and report.rounds_completed >= rounds else 1
@@ -220,7 +229,7 @@ def cmd_hbi(cfg) -> int:
 
 def cmd_progress(cfg) -> int:
     scenario = _scenario(cfg)
-    depth = cfg["depth"] if cfg["depth"] is not None else 6
+    depth = _opt(cfg, "depth", 6)
     one = check_1rlf(scenario, depth=depth)
     nb = check_nonblocking(scenario, depth=depth)
     split = default_split(scenario)
@@ -259,7 +268,7 @@ def _demo_init_bivalent(cfg, say) -> bool:
 def _demo_claim2(cfg, say) -> bool:
     cfg = dict(cfg, protocol="naive-tos", n=None)
     scenario = _scenario(cfg)
-    depth = cfg["depth"] if cfg["depth"] is not None else 12
+    depth = _opt(cfg, "depth", 12)
     triples = completed_implies_univalent_audit(
         scenario, depth, TOS_SPEC, checker_mode="strong", max_triples=1,
         order="completion-first",
@@ -317,7 +326,7 @@ def _demo_claim3(cfg, say) -> bool:
 def _demo_hbi(cfg, say) -> bool:
     cfg = dict(cfg, protocol="abd-tos", n=None)
     scenario = _scenario(cfg)
-    rounds = cfg["rounds"] if cfg["rounds"] is not None else 3
+    rounds = _opt(cfg, "rounds", 3)
     report = build_hbi(scenario, rounds)
     say(
         f"abd-tos adversary: {report.rounds_completed}/{rounds} rounds, "
@@ -336,7 +345,7 @@ def _demo_hbi(cfg, say) -> bool:
 def _demo_subclaim_wsl(cfg, say) -> bool:
     cfg = dict(cfg, protocol="abd-reg", n=None)
     scenario = _scenario(cfg)
-    depth = cfg["depth"] if cfg["depth"] is not None else 16
+    depth = _opt(cfg, "depth", 16)
     triples = completed_implies_univalent_audit(
         scenario, depth, REG_SPEC, checker_mode="write-strong", max_triples=1,
         order="completion-first",

@@ -14,6 +14,16 @@ Message identity is the triple (seq, sender, receiver) where seq counts
 sends per directed channel; identity therefore does not depend on the
 order in which steps of distinct processes are applied, which is what
 makes the commutation check meaningful.
+
+Steps of distinct processes commute. Each reads and writes only its own
+process's state and channel row, and consumes a message addressed to
+its own process, so either step stays enabled after the other, and
+both orders give the same states, buffer (payloads included) and
+channels. Each step appends only its own process's events, so the two
+event logs differ only in interleaving, and a decision, which a single
+process returns, is the same in both. So both orders reach one valence
+class (Scenario.vkey), which is what lets valence.reach put such steps
+to sleep.
 """
 
 from __future__ import annotations

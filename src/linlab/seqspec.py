@@ -2,9 +2,8 @@
 
 The simulator records object operations as invocation/response event pairs
 in a global log. This module defines that vocabulary: well-formedness of
-event logs, the precedence (real-time) order between operations, the
-completion construction for histories with pending operations, and the
-sequential specifications the consistency checkers replay candidate
+event logs, the precedence (real-time) order between operations, and
+the sequential specifications the consistency checkers replay candidate
 orderings against.
 
 Two object types are built in:
@@ -17,9 +16,8 @@ Two object types are built in:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 DONE = "done"
 
@@ -242,8 +240,7 @@ class SequentialSpec:
     """A sequential object: initial state, transition, response candidates.
 
     response_values(op) lists every value a pending op could legally
-    return in some completion; the completion construction enumerates
-    exactly these.
+    return in some completion of a history.
     """
 
     name = "abstract"
@@ -306,34 +303,3 @@ class RegisterSpec(SequentialSpec):
 
 TOS_SPEC = ToSSpec()
 REG_SPEC = RegisterSpec()
-
-
-def completions(h: OpHistory, spec: SequentialSpec) -> Iterator[OpHistory]:
-    """Every completion of h: each pending op is either dropped (its
-    invocation removed) or completed by a response appended at the end.
-
-    Appended responses carry each value the spec allows for that op, so
-    the number of completions is the product over pending ops of
-    (1 + number of candidate responses). Complete ops are untouched.
-    Deterministic order: pending ops by op_id; per op, drop first, then
-    candidate values in spec order.
-    """
-    pending = sorted(h.pending_ops(), key=lambda o: o.op_id)
-    choice_sets = []
-    for o in pending:
-        choices: list = [None]  # None means: drop this op
-        choices.extend(spec.response_values(o.op))
-        choice_sets.append(choices)
-    for assignment in itertools.product(*choice_sets):
-        dropped = {
-            o.op_id for o, c in zip(pending, assignment) if c is None
-        }
-        events = [
-            ev
-            for ev in h.events
-            if not (ev.kind == INVOCATION and ev.op_id in dropped)
-        ]
-        for o, c in zip(pending, assignment):
-            if c is not None:
-                events.append(res(o.op, o.process, o.op_id, c))
-        yield OpHistory(events)

@@ -168,35 +168,75 @@ def reach(
     history takes. `rank` maps a configuration to a sort key: each
     layer is expanded in that order (a stable sort of discovery order),
     which orders the layer below it.
+
+    Sleep sets (Godefroid, LNCS 1032) skip edges that can only land on
+    a class already seen. Say c was reached from its parent P by a step
+    of process p, and s is a step of a process q < p enabled at P. Steps
+    of distinct processes commute on vkey (see the model module), so
+    c·s lies in the class of P·s·t, where t is c's own step. If the
+    class of P·s was expanded before c, that expansion applied t or
+    skipped it by this same rule, so c·s is a dedup hit and c skips s.
+    Without rank, s qualifies when P computed it and its class, new or
+    already seen, is expandable (not decided under stop_decided), and
+    when s was asleep at P itself: q's state is then the same as at P's
+    parent, so P·s is not decided either, and its class entered `seen`
+    before P was expanded. Under rank the layer is reordered, so only
+    the siblings P discovered, with a rank no greater than c's, sleep.
+    Every skipped edge is a dedup hit, so the yields are exactly those
+    of the unpruned sweep.
     """
     system = scenario.system
     key = scenario.vkey(start)
     seen = {key}
     yield start, (), 0
+    # an entry is (config, history, sleepers, cut, rank): c's sleepers
+    # are the first `cut` entries of a list shared with its siblings,
+    # in enabled-step order; under rank they are (step, rank) pairs
     layer = deque()
     if depth > 0 and not (stop_decided and key[1] is not None):
-        layer.append((start, ()))
+        layer.append((start, (), (), 0, None if rank is None else rank(start)))
     d = 0
     while layer:
         d += 1
         if rank is not None:
-            layer = deque(sorted(layer, key=lambda item: rank(item[0])))
+            layer = deque(sorted(layer, key=itemgetter(4)))
         below: deque = deque()
+        keep = d < depth  # else no child is expanded, nor needs sleepers
         while layer:
-            config, hist = layer.popleft()
+            config, hist, sleepers, cut, r = layer.popleft()
+            if rank is not None:
+                sleepers = [s for s, rs in sleepers[:cut] if rs <= r]
+                cut = len(sleepers)
+            shared: list = []
+            i = 0
             for p in range(scenario.n):
+                sibling_cut = len(shared)
                 for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
+                    # a sleeper is still enabled here, in the same order,
+                    # holding the same message object as at the parent
+                    if i < cut:
+                        s = sleepers[i]
+                        if s.received is step.received and s.process == p:
+                            i += 1
+                            if keep and rank is None:
+                                shared.append(step)
+                            continue
                     if forbid is not None and step == forbid:
                         continue
                     child = apply_step(config, step, system)
                     key = scenario.vkey(child)
+                    expandable = not (stop_decided and key[1] is not None)
                     if key in seen:
+                        if keep and expandable and rank is None:
+                            shared.append(step)
                         continue
                     seen.add(key)
                     child_hist = hist + (step,)
                     yield child, child_hist, d
-                    if d < depth and not (stop_decided and key[1] is not None):
-                        below.append((child, child_hist))
+                    if keep and expandable:
+                        cr = None if rank is None else rank(child)
+                        below.append((child, child_hist, shared, sibling_cut, cr))
+                        shared.append(step if rank is None else (step, cr))
         layer = below
 
 

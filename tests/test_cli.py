@@ -253,6 +253,48 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["simulate", "--protocol", "naive-tos", "--n", "1"],
+            ["check", "--protocol", "abd-tos", "--n", "2"],
+            ["valence", "--protocol", "naive-tos", "--n", "0"],
+            ["explore", "--protocol", "abd-reg", "--n", "2"],
+            ["hbi", "--protocol", "abd-tos", "--n", "-1"],
+            ["progress", "--protocol", "trivial-ack", "--n", "2"],
+            ["demo", "init-bivalent", "--protocol", "naive-tos", "--n", "0"],
+            ["valence", "--protocol", "naive-tos", "--n", "1025"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-3]} n={argv[-1]}",
+    )
+    def test_n_outside_the_protocol_range_is_refused(self, capsys, tmp_path, argv):
+        # n = 0 used to end in a PreconditionViolated traceback, exit 1
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "bad n for" in captured.err
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"n": int(argv[-1])}))
+        code = main(argv[:-2] + ["--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "bad n for" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["check", "--protocol", "naive-tos", "--depth", "3"], "max_nodes"),
+            (["explore", "--protocol", "abd-tos", "--depth", "7"], "max_triples"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else x[0],
+    )
+    def test_null_config_value_means_the_default(self, capsys, tmp_path, argv, key):
+        # {"max_nodes": null} used to end in a TypeError traceback
+        want = run_cli(capsys, *argv)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({key: None}))
+        assert run_cli(capsys, *argv, "--config", str(cfgfile)) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["valence", "--protocol", "abd-tos"],
             ["hbi", "--protocol", "abd-tos"],
             ["explore", "--protocol", "naive-tos"],

@@ -1,14 +1,24 @@
-"""The shared breadth-first engine, valence.reach, against an oracle.
+"""The shared breadth-first engine, valence.reach, against two oracles.
 
-The oracle sweeps one whole layer at a time with set semantics and keys
+The first sweeps one whole layer at a time with set semantics and keys
 each configuration from scratch, so it shares neither reach's ordering,
-nor its early yields, nor the derived core keys of apply_step.
+nor its early yields, nor the derived core keys of apply_step. The
+second is reach without sleep sets, which applies every enabled step of
+every expanded class: reach must yield exactly its sequence.
 """
+
+from collections import deque
 
 import pytest
 
 from linlab.model import SchedulingMode, Step, apply_history, apply_step, enabled_steps
-from linlab.valence import build_scenario, fair_completion, reach
+from linlab.valence import (
+    _completion_rank,
+    build_scenario,
+    completed_count,
+    fair_completion,
+    reach,
+)
 
 PROTOCOLS = ["naive-tos", "abd-tos", "abd-reg", "trivial-ack"]
 DEPTHS = range(7)
@@ -38,6 +48,39 @@ def oracle(s, start, depth, forbid=None, stop_decided=False) -> dict:
         found.update(dict.fromkeys(below, d))
         layer = list(below.values())
     return found
+
+
+def unpruned_reach(s, start, depth, *, forbid=None, stop_decided=False, rank=None):
+    """reach before sleep sets: the same order and the same yields, but
+    every enabled step of every expanded class is applied."""
+    key = s.vkey(start)
+    seen = {key}
+    yield start, (), 0
+    layer = deque()
+    if depth > 0 and not (stop_decided and key[1] is not None):
+        layer.append((start, ()))
+    d = 0
+    while layer:
+        d += 1
+        if rank is not None:
+            layer = deque(sorted(layer, key=lambda item: rank(item[0])))
+        below = deque()
+        while layer:
+            config, hist = layer.popleft()
+            for p in range(s.n):
+                for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
+                    if forbid is not None and step == forbid:
+                        continue
+                    child = apply_step(config, step, s.system)
+                    key = s.vkey(child)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    child_hist = hist + (step,)
+                    yield child, child_hist, d
+                    if d < depth and not (stop_decided and key[1] is not None):
+                        below.append((child, child_hist))
+        layer = below
 
 
 def starts(name):
@@ -140,3 +183,68 @@ def test_stop_decided_cuts_the_sweep_at_decisions():
     free = list(reach(s, s.initial(), 6))
     stopped = list(reach(s, s.initial(), 6, stop_decided=True))
     assert len(stopped) < len(free)
+
+
+# --- sleep sets: the yield sequence of the unpruned sweep ---------------------
+
+
+def fullest_buffer_first(c):
+    return -len(c.buffer)
+
+
+def most_completions_first(c):
+    return -completed_count(c)
+
+
+def scrambled(c):
+    # no relation to the order of discovery, so sorting moves classes far
+    return sum(m.seq * 7 + m.sender * 3 + m.receiver for m in c.buffer) % 5
+
+
+VARIANTS = {
+    "plain": lambda s, start: {},
+    "forbid": lambda s, start: {"forbid": forced_step(s, start)},
+    "stop_decided": lambda s, start: {"stop_decided": True},
+    "rank": lambda s, start: {"rank": fullest_buffer_first},
+    "rank-completions": lambda s, start: {"rank": most_completions_first},
+    "rank-scrambled": lambda s, start: {"rank": scrambled},
+    "rank-audit": lambda s, start: {"rank": _completion_rank, "stop_decided": True},
+}
+
+
+def sequence(s, items) -> list:
+    return [(s.vkey(c), hist, d) for c, hist, d in items]
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("name,label,depth", cases())
+def test_yields_the_unpruned_sequence(name, label, depth, variant):
+    s, configs = starts(name)
+    start = dict(configs)[label]
+    kw = VARIANTS[variant](s, start)
+    got = sequence(s, reach(s, start, depth, **kw))
+    want = sequence(s, unpruned_reach(s, start, depth, **kw))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_distinct_processes_commute_on_vkey(name):
+    # the precondition of the sleep sets: both orders of two steps of
+    # distinct processes reach one class, decision status included
+    s, configs = starts(name)
+    pairs = 0
+    for _, start in configs:
+        for config, _, _ in unpruned_reach(s, start, 5):
+            per_proc = [
+                enabled_steps(config, p, SchedulingMode.FULL_NONDET) for p in range(s.n)
+            ]
+            for p in range(s.n):
+                for q in range(p + 1, s.n):
+                    for e1 in per_proc[p]:
+                        for e2 in per_proc[q]:
+                            c12 = apply_step(apply_step(config, e1, s.system), e2, s.system)
+                            c21 = apply_step(apply_step(config, e2, s.system), e1, s.system)
+                            assert s.vkey(c12) == s.vkey(c21)
+                            assert scratch_key(s, c12) == scratch_key(s, c21)
+                            pairs += 1
+    assert pairs > 0

@@ -6,12 +6,15 @@ permutation of the operations. The main checker is tested against it
 in test_checkers and in the acceptance run.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linlab.seqspec import (
     DONE,
+    INVOCATION,
     READ,
     REG_SPEC,
     SET,
@@ -21,7 +24,6 @@ from linlab.seqspec import (
     MalformedHistory,
     OpHistory,
     ToSSpec,
-    completions,
     inv,
     op_history_from_json,
     res,
@@ -31,6 +33,31 @@ from linlab.seqspec import (
 
 
 from conftest import perm_linearizable
+
+
+def completions(h, spec):
+    """Every completion of h: each pending op is either dropped (its
+    invocation removed) or completed by a response appended at the end.
+
+    Appended responses carry each value the spec allows for that op, so
+    the number of completions is the product over pending ops of
+    (1 + number of candidate responses). Complete ops are untouched.
+    Deterministic order: pending ops by op_id; per op, drop first, then
+    candidate values in spec order.
+    """
+    pending = sorted(h.pending_ops(), key=lambda o: o.op_id)
+    choice_sets = [(None,) + spec.response_values(o.op) for o in pending]
+    for assignment in itertools.product(*choice_sets):
+        dropped = {o.op_id for o, c in zip(pending, assignment) if c is None}
+        events = [
+            ev
+            for ev in h.events
+            if not (ev.kind == INVOCATION and ev.op_id in dropped)
+        ]
+        for o, c in zip(pending, assignment):
+            if c is not None:
+                events.append(res(o.op, o.process, o.op_id, c))
+        yield OpHistory(events)
 
 
 class TestSequentialSemantics:
