@@ -39,11 +39,11 @@ from .seqspec import (
     res,
 )
 
-DEFAULT_OP_CAP = 8
+OP_CAP = 8  # most complete operations a history may hold for the search
 
 
 class SizeLimitError(Exception):
-    """Input exceeds the configured brute-force budget."""
+    """Input exceeds a brute-force budget."""
 
 
 class LinEntry(NamedTuple):
@@ -77,7 +77,6 @@ def linearizations(
     spec: SequentialSpec,
     require_prefix: Sequence[LinEntry] = (),
     write_prefix: Optional[Sequence[LinEntry]] = None,
-    cap: int = DEFAULT_OP_CAP,
 ) -> Iterator[Linearization]:
     """Yield every valid linearization of a completion of h.
 
@@ -89,12 +88,12 @@ def linearizations(
 
     require_prefix pins the first entries exactly (strong-prefix search);
     write_prefix instead pins the update subsequence (write-strong
-    search). Raises SizeLimitError when complete ops exceed cap.
+    search). Raises SizeLimitError when complete ops exceed OP_CAP.
     """
     ops = h.ops
     complete_count = sum(1 for o in ops if o.complete)
-    if complete_count > cap:
-        raise SizeLimitError(f"{complete_count} complete ops exceeds cap {cap}")
+    if complete_count > OP_CAP:
+        raise SizeLimitError(f"{complete_count} complete ops exceeds cap {OP_CAP}")
 
     preds: dict[int, frozenset] = {}
     for b in ops:
@@ -137,11 +136,9 @@ def linearizations(
     yield from walk(frozenset(), spec.initial_state, (), 0)
 
 
-def is_linearizable(
-    h: OpHistory, spec: SequentialSpec, cap: int = DEFAULT_OP_CAP
-) -> Optional[Linearization]:
+def is_linearizable(h: OpHistory, spec: SequentialSpec) -> Optional[Linearization]:
     """First valid linearization in canonical order, or None."""
-    for cand in linearizations(h, spec, cap=cap):
+    for cand in linearizations(h, spec):
         return cand
     return None
 
@@ -155,7 +152,6 @@ class TreeNode:
     parent: Optional[int]
     history: OpHistory
     children: list = field(default_factory=list)
-    label: str = ""
 
 
 class ExecutionTree:
@@ -166,23 +162,21 @@ class ExecutionTree:
     prefix-closure.
     """
 
-    def __init__(self, root_history: OpHistory, label: str = "root"):
-        self.nodes: dict[int, TreeNode] = {
-            0: TreeNode(0, None, root_history, label=label)
-        }
+    def __init__(self, root_history: OpHistory):
+        self.nodes: dict[int, TreeNode] = {0: TreeNode(0, None, root_history)}
         self._next = 1
 
     @property
     def root(self) -> int:
         return 0
 
-    def add_node(self, history: OpHistory, parent: int, label: str = "") -> int:
+    def add_node(self, history: OpHistory, parent: int) -> int:
         pev = self.nodes[parent].history.events
         if history.events[: len(pev)] != pev:
             raise ValueError("child history must extend its parent's event log")
         nid = self._next
         self._next += 1
-        self.nodes[nid] = TreeNode(nid, parent, history, label=label)
+        self.nodes[nid] = TreeNode(nid, parent, history)
         self.nodes[parent].children.append(nid)
         return nid
 
@@ -200,9 +194,9 @@ class ExecutionTree:
 
 def make_triple_tree(h: OpHistory, h0: OpHistory, h1: OpHistory) -> ExecutionTree:
     """The three-node tree {H, H0, H1} with H0, H1 children of H."""
-    tree = ExecutionTree(h, label="base")
-    tree.add_node(h0, 0, label="branch-0")
-    tree.add_node(h1, 0, label="branch-1")
+    tree = ExecutionTree(h)
+    tree.add_node(h0, 0)
+    tree.add_node(h1, 0)
     return tree
 
 
@@ -260,7 +254,6 @@ def _search(
     tree: ExecutionTree,
     spec: SequentialSpec,
     mode: str,
-    cap: int,
     members: Optional[frozenset] = None,
 ) -> Optional[dict]:
     """Backtracking strategy search over (an induced subtree of) the tree.
@@ -282,9 +275,9 @@ def _search(
             return False
         node = tree.nodes[nid]
         if mode == "strong":
-            gen = linearizations(node.history, spec, require_prefix=constraint, cap=cap)
+            gen = linearizations(node.history, spec, require_prefix=constraint)
         else:
-            gen = linearizations(node.history, spec, write_prefix=constraint, cap=cap)
+            gen = linearizations(node.history, spec, write_prefix=constraint)
         for cand in gen:
             assignment[nid] = cand
             child_constraint = cand if mode == "strong" else write_projection(cand)
@@ -299,18 +292,16 @@ def _search(
     return None
 
 
-def _count_candidates(node: TreeNode, spec: SequentialSpec, cap: int, limit: int = 4096) -> int:
+def _count_candidates(node: TreeNode, spec: SequentialSpec, limit: int = 4096) -> int:
     n = 0
-    for _ in linearizations(node.history, spec, cap=cap):
+    for _ in linearizations(node.history, spec):
         n += 1
         if n >= limit:
             break
     return n
 
 
-def _shrink_failing_subtree(
-    tree: ExecutionTree, spec: SequentialSpec, mode: str, cap: int
-) -> frozenset:
+def _shrink_failing_subtree(tree: ExecutionTree, spec: SequentialSpec, mode: str) -> frozenset:
     """Grow nodes in BFS order until infeasible, then prune removable leaves.
 
     The result is prefix-closed, still admits no strategy, and dropping
@@ -320,7 +311,7 @@ def _shrink_failing_subtree(
     members: list = []
     for nid in order:
         members.append(nid)
-        if _search(tree, spec, mode, cap, frozenset(members)) is None:
+        if _search(tree, spec, mode, frozenset(members)) is None:
             break
     core = set(members)
 
@@ -335,21 +326,19 @@ def _shrink_failing_subtree(
         )
         for leaf in leaves:
             trial = frozenset(core - {leaf})
-            if _search(tree, spec, mode, cap, trial) is None:
+            if _search(tree, spec, mode, trial) is None:
                 core.discard(leaf)
                 pruned = True
                 break
     return frozenset(core)
 
 
-def _strategy_or_counterexample(
-    tree: ExecutionTree, spec: SequentialSpec, mode: str, cap: int
-):
-    assignment = _search(tree, spec, mode, cap)
+def _strategy_or_counterexample(tree: ExecutionTree, spec: SequentialSpec, mode: str):
+    assignment = _search(tree, spec, mode)
     if assignment is not None:
         return Strategy(mode=mode, assignment=assignment)
-    core = _shrink_failing_subtree(tree, spec, mode, cap)
-    counts = {nid: _count_candidates(tree.nodes[nid], spec, cap) for nid in core}
+    core = _shrink_failing_subtree(tree, spec, mode)
+    counts = {nid: _count_candidates(tree.nodes[nid], spec) for nid in core}
     kind = "prefix" if mode == "strong" else "update-subsequence"
     explanation = (
         f"no {kind}-monotone assignment exists over nodes {sorted(core)}: "
@@ -365,29 +354,24 @@ def _strategy_or_counterexample(
     )
 
 
-def strong_linearization_exists(
-    tree: ExecutionTree, spec: SequentialSpec, cap: int = DEFAULT_OP_CAP
-):
+def strong_linearization_exists(tree: ExecutionTree, spec: SequentialSpec):
     """Strategy whose choices grow by strict sequence prefix, else Counterexample."""
-    return _strategy_or_counterexample(tree, spec, "strong", cap)
+    return _strategy_or_counterexample(tree, spec, "strong")
 
 
-def write_strong_linearization_exists(
-    tree: ExecutionTree, spec: SequentialSpec, cap: int = DEFAULT_OP_CAP
-):
+def write_strong_linearization_exists(tree: ExecutionTree, spec: SequentialSpec):
     """Strategy monotone on the update subsequence only, else Counterexample.
 
     Histories without update operations degenerate gracefully: the
     constraint is empty, so this is then per-node linearizability.
     """
-    return _strategy_or_counterexample(tree, spec, "write-strong", cap)
+    return _strategy_or_counterexample(tree, spec, "write-strong")
 
 
 def brute_force_strategy_oracle(
     tree: ExecutionTree,
     spec: SequentialSpec,
     mode: str = "strong",
-    cap: int = DEFAULT_OP_CAP,
     node_limit: int = 64,
     cand_limit: int = 64,
 ):
@@ -405,7 +389,7 @@ def brute_force_strategy_oracle(
     all_cands: dict[int, list] = {}
     for nid, node in tree.nodes.items():
         cands = []
-        for c in linearizations(node.history, spec, cap=cap):
+        for c in linearizations(node.history, spec):
             cands.append(c)
             if len(cands) > cand_limit:
                 raise SizeLimitError(

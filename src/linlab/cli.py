@@ -20,6 +20,8 @@ from .progress import check_1rlf, check_nonblocking, default_split, implication_
 from .protocols import PROTOCOLS
 from .seqspec import REG_SPEC, TOS_SPEC
 from .valence import (
+    FAIR_BOUND,
+    VALENCE_DEPTH,
     SuccessorNotFound,
     ValenceTag,
     staged_probe,
@@ -73,17 +75,6 @@ def _spec_for(scenario):
     return _SPECS.get(scenario.built.spec_kind)
 
 
-def _steps_json(history) -> list:
-    return [
-        {"process": s.process, "message_uid": None if s.received is None else s.received.uid}
-        for s in history
-    ]
-
-
-def _history_json(h) -> list:
-    return [ev.to_json() for ev in h.events]
-
-
 # --- subcommands --------------------------------------------------------------
 
 
@@ -108,7 +99,7 @@ def cmd_simulate(cfg) -> int:
     if schedule is not None:
         history = _resolve_schedule(scenario, init, schedule)
     else:
-        bound = _opt(cfg, "depth", scenario.fair_bound)
+        bound = _opt(cfg, "depth", FAIR_BOUND)
         run = fair_completion(scenario, init, crashed=cfg["crash"], bound=bound)
         history = run.history
     records = trace_records(init, history, scenario.system)
@@ -158,7 +149,7 @@ def cmd_check(cfg) -> int:
             if is_linearizable(node.history, spec) is None:
                 report["result"] = "violation"
                 report["node"] = nid
-                report["history"] = _history_json(node.history)
+                report["history"] = node.history.to_json()
                 _emit(_json(report), cfg["out"])
                 return 1
         report["result"] = "holds"
@@ -177,7 +168,7 @@ def cmd_check(cfg) -> int:
 
 def cmd_valence(cfg) -> int:
     scenario = _scenario(cfg)
-    depth = _opt(cfg, "depth", scenario.valence_depth)
+    depth = _opt(cfg, "depth", VALENCE_DEPTH)
     verdict = classify_valence(scenario, scenario.initial(), depth)
     _emit(_json({"protocol": cfg["protocol"], "valence": verdict.to_json()}), cfg["out"])
     return 2 if verdict.tag is ValenceTag.UNKNOWN_AT_BOUND else 0
@@ -209,9 +200,9 @@ def cmd_explore(cfg) -> int:
         report["first"] = {
             "depth": t.depth,
             "completed": list(t.completed),
-            "base": _history_json(t.base),
-            "branch0": _history_json(t.branch0),
-            "branch1": _history_json(t.branch1),
+            "base": t.base.to_json(),
+            "branch0": t.branch0.to_json(),
+            "branch1": t.branch1.to_json(),
             "verdict": t.verdict.__class__.__name__.lower(),
         }
     _emit(_json(report), cfg["out"])

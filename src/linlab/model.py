@@ -101,9 +101,6 @@ class Step:
         return f"Step({self.process}, {self.received!r})"
 
 
-History = tuple  # tuple[Step, ...]
-
-
 @dataclass(frozen=True)
 class Effect:
     """What one transition does: new state, sends, appended events."""

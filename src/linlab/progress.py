@@ -24,8 +24,11 @@ from itertools import combinations
 from typing import Optional
 
 from .model import SchedulingMode, apply_step, enabled_steps
+from .protocols import PROTOCOLS
 from .seqspec import RESPONSE, OpHistory
-from .valence import Scenario, build_scenario, reach
+from .valence import FAIR_BOUND, Scenario, build_scenario, reach
+
+AUDIT_FAIR_BOUND = 160  # implication_audit's fair-run bound
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,7 @@ def check_1rlf(
     """Lock-freedom against at most one crash: from every reachable
     configuration, for every single crash (or none), the survivors'
     fair schedule completes some surviving pending operation."""
-    fair_bound = scenario.fair_bound if fair_bound is None else fair_bound
+    fair_bound = FAIR_BOUND if fair_bound is None else fair_bound
     choices = [frozenset()] + [frozenset({q}) for q in range(scenario.n)]
     holds, witness, checked, truncated = _sweep(scenario, depth, choices, fair_bound)
     return ProgressVerdict(
@@ -187,7 +190,7 @@ def check_nonblocking(
     fair_bound: Optional[int] = None,
 ) -> ProgressVerdict:
     """Nonblocking against structured crash sets (see module docstring)."""
-    fair_bound = scenario.fair_bound if fair_bound is None else fair_bound
+    fair_bound = FAIR_BOUND if fair_bound is None else fair_bound
     split = default_split(scenario) if split is None else split
     choices = split.allowed_crash_sets()
     holds, witness, checked, truncated = _sweep(scenario, depth, choices, fair_bound)
@@ -208,18 +211,16 @@ def check_nonblocking(
     )
 
 
-def implication_audit(names=None, depth: int = 6, fair_bound: int = 160) -> list:
+def implication_audit(depth: int = 6) -> list:
     """Nonblocking implies 1-resilient lock-freedom whenever there are
     at least two clients (single crashes are then allowed crash sets).
     Audits every registered protocol and reports any counterexample to
     the implication, which a sound model should never produce."""
-    from .protocols import PROTOCOLS
-
     rows = []
-    for name in sorted(PROTOCOLS if names is None else names):
+    for name in sorted(PROTOCOLS):
         scenario = build_scenario(name)
-        one = check_1rlf(scenario, depth=depth, fair_bound=fair_bound)
-        nb = check_nonblocking(scenario, depth=depth, fair_bound=fair_bound)
+        one = check_1rlf(scenario, depth=depth, fair_bound=AUDIT_FAIR_BOUND)
+        nb = check_nonblocking(scenario, depth=depth, fair_bound=AUDIT_FAIR_BOUND)
         implication_applies = default_split(scenario).c >= 2
         rows.append(
             {

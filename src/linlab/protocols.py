@@ -328,8 +328,6 @@ class RegisterToSAdapter(ProtocolUnderTest):
         self.register = register
         self.name = "abd-tos"
         self.num_processes = register.num_processes
-        self.setter = register.writers[0]
-        self.tester = register.reader
 
     def init_state(self, process: int):
         return self.register.init_state(process)
@@ -374,20 +372,20 @@ class TrivialAckState:
 
 
 class TrivialAckProtocol(ProtocolUnderTest):
-    """Every operation broadcasts, waits for acks_needed replies, returns 0.
+    """Every operation broadcasts, waits for n - 2 replies, returns 0.
 
-    With the default acks_needed = n - 2 any single crash is survivable,
-    but one crashed client plus one crashed server starves the remaining
-    client (only n - 3 repliers are left). That gap is the point.
+    Any single crash is survivable, but one crashed client plus one
+    crashed server starves the remaining client (only n - 3 repliers
+    are left). That gap is the point.
     """
 
-    def __init__(self, n: int, acks_needed: Optional[int] = None):
+    def __init__(self, n: int):
         if n < 3:
             raise PreconditionViolated("trivial-ack object needs n >= 3")
         _check_process_count(n)
         self.name = "trivial-ack"
         self.num_processes = n
-        self.acks_needed = n - 2 if acks_needed is None else acks_needed
+        self.acks_needed = n - 2
 
     def init_state(self, process: int) -> TrivialAckState:
         return TrivialAckState(pid=process, opcount=0, pending=None)
@@ -413,16 +411,11 @@ class TrivialAckProtocol(ProtocolUnderTest):
 
     def invoke(self, state: TrivialAckState, op: Op) -> Effect:
         op_id = _next_op_id(state)
-        state = replace(state, opcount=state.opcount + 1)
-        events = [inv(op, state.pid, op_id)]
-        if self.acks_needed <= 0:
-            events.append(res(op, state.pid, op_id, 0))
-            return Effect(state, (), tuple(events))
         sends = tuple(
             (q, ("PING", op_id)) for q in range(self.num_processes) if q != state.pid
         )
-        state = replace(state, pending=(op_id, op.name, frozenset()))
-        return Effect(state, sends, tuple(events))
+        state = replace(state, opcount=state.opcount + 1, pending=(op_id, op.name, frozenset()))
+        return Effect(state, sends, (inv(op, state.pid, op_id),))
 
     def has_pending_op(self, state: TrivialAckState) -> bool:
         return state.pending is not None
@@ -603,25 +596,9 @@ class BuiltProtocol:
     checker_mode: Optional[str] = None
 
 
-def make_naive_tos(n: int = 2) -> NaiveTosProtocol:
-    return NaiveTosProtocol(n)
-
-
-def make_abd_register(n: int, writers: Sequence[int], reader: int) -> AbdRegisterProtocol:
-    return AbdRegisterProtocol(n, writers, reader)
-
-
-def make_tos_from_register(register: AbdRegisterProtocol) -> RegisterToSAdapter:
-    return RegisterToSAdapter(register)
-
-
-def make_trivial_ack_object(n: int, acks_needed: Optional[int] = None) -> TrivialAckProtocol:
-    return TrivialAckProtocol(n, acks_needed)
-
-
 def _build_naive_tos(n: Optional[int]) -> BuiltProtocol:
     n = 2 if n is None else n
-    inner = make_naive_tos(n)
+    inner = NaiveTosProtocol(n)
     driver = make_driver_tos(inner)
     system = ScriptedSystem(inner, driver, "naive-tos")
     return BuiltProtocol(system, driver.decision_process, driver.decision_op, (0, 1),
@@ -630,7 +607,7 @@ def _build_naive_tos(n: Optional[int]) -> BuiltProtocol:
 
 def _build_abd_tos(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
-    inner = make_tos_from_register(make_abd_register(n, writers=(1,), reader=0))
+    inner = RegisterToSAdapter(AbdRegisterProtocol(n, writers=(1,), reader=0))
     driver = make_driver_tos(inner)
     system = ScriptedSystem(inner, driver, "abd-tos")
     return BuiltProtocol(system, driver.decision_process, driver.decision_op, (0, 1),
@@ -639,7 +616,7 @@ def _build_abd_tos(n: Optional[int]) -> BuiltProtocol:
 
 def _build_abd_reg(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
-    inner = make_abd_register(n, writers=(0, 1), reader=0)
+    inner = AbdRegisterProtocol(n, writers=(0, 1), reader=0)
     driver = make_driver_2w1r(inner)
     system = ScriptedSystem(inner, driver, "abd-reg")
     return BuiltProtocol(system, driver.decision_process, driver.decision_op, (0, 1),
@@ -648,7 +625,7 @@ def _build_abd_reg(n: Optional[int]) -> BuiltProtocol:
 
 def _build_trivial_ack(n: Optional[int]) -> BuiltProtocol:
     n = 4 if n is None else n
-    inner = make_trivial_ack_object(n)
+    inner = TrivialAckProtocol(n)
     driver = make_driver_clients(inner, clients=(0, 1))
     system = ScriptedSystem(inner, driver, "trivial-ack")
     return BuiltProtocol(system, None, None, (0, 1), tuple(range(2, n)))

@@ -25,7 +25,7 @@ Value = Union[int, str, None]
 
 
 class MalformedHistory(Exception):
-    """Event log violates well-formedness (see OpHistory.validate)."""
+    """Event log violates well-formedness; raised when an OpHistory is built."""
 
 
 class IllegalOp(Exception):
@@ -254,27 +254,13 @@ class SequentialSpec:
 
 
 class ToSSpec(SequentialSpec):
-    """One-bit test/set flag, initially 0.
-
-    strict mode additionally enforces the single-use contract: at most
-    one SET and one TEST per object lifetime. State is then a
-    (bit, used-ops) pair instead of the bare bit.
-    """
+    """One-bit test/set flag, initially 0."""
 
     name = "tos"
-
-    def __init__(self, strict: bool = False):
-        self.strict = strict
-        self.initial_state = (0, frozenset()) if strict else 0
+    initial_state = 0
 
     def apply(self, state, op: Op):
-        if not self.strict:
-            return tos_apply(state, op)
-        bit, used = state
-        if op.name in used:
-            raise IllegalOp(f"{op} applied twice on single-use flag")
-        bit, value = tos_apply(bit, op)
-        return (bit, used | {op.name}), value
+        return tos_apply(state, op)
 
     def response_values(self, op: Op) -> tuple[Value, ...]:
         if op.name == "TEST":

@@ -40,6 +40,7 @@ from typing import NamedTuple, Optional
 
 from .checkers import (
     ExecutionTree,
+    SizeLimitError,
     make_triple_tree,
     strong_linearization_exists,
     write_strong_linearization_exists,
@@ -67,20 +68,19 @@ class _Timeout:
 
 TIMEOUT = _Timeout()
 
+FAIR_BOUND = 240  # steps a fair run takes before it gives up
+VALENCE_DEPTH = 8  # default depth of classify_valence's bounded sweep
+PROBE_DEPTH = 3  # the sweep fair-probes every class this shallow
+
 
 @dataclass
 class Scenario:
-    """A runnable experiment: protocol, driver, decision op, budgets."""
+    """A runnable experiment: protocol, driver, decision op, rotation."""
 
     built: BuiltProtocol
     name: str
     seed: Optional[int] = None
     rotation: Optional[tuple] = None
-    fair_bound: int = 240
-    valence_depth: int = 8
-    probe_depth: int = 3  # fair-probe shallow reorderings during classification
-    crash_probes: bool = True  # also probe single-crash fair schedules
-    avoid_completions: bool = True
     _absolute: dict = field(default_factory=dict, repr=False, compare=False)
     _bounded: dict = field(default_factory=dict, repr=False, compare=False)
     _suffixes: dict = field(default_factory=dict, repr=False, compare=False)
@@ -139,10 +139,6 @@ def completed_count(config: Configuration) -> int:
 def pending_count(config: Configuration) -> int:
     invoked = sum(1 for ev in config.events if ev.kind == INVOCATION)
     return invoked - completed_count(config)
-
-
-def op_history_of(config: Configuration) -> OpHistory:
-    return OpHistory(config.events)
 
 
 # --- reachability ------------------------------------------------------------
@@ -357,7 +353,7 @@ def fair_completion(
         raise PreconditionViolated(
             f"crashed must be None or a process id below {scenario.n}, not {crashed!r}"
         )
-    bound = scenario.fair_bound if bound is None else bound
+    bound = FAIR_BOUND if bound is None else bound
     live = [p for p in range(scenario.n) if p != crashed]
     return _fair_run(scenario, config, live, bound)
 
@@ -368,12 +364,11 @@ def staged_probe(scenario: Scenario, config: Configuration, hold: int) -> FairRu
     Fair overall (the held process still takes infinitely many steps in
     the limit); exists to harvest order-dependent decision values.
     """
-    bound = scenario.fair_bound
     live = [p for p in range(scenario.n) if p != hold]
-    first = _fair_run(scenario, config, live, bound)
+    first = _fair_run(scenario, config, live, FAIR_BOUND)
     if first.value is not TIMEOUT:
         return first
-    rest = _fair_run(scenario, first.final, list(range(scenario.n)), bound)
+    rest = _fair_run(scenario, first.final, list(range(scenario.n)), FAIR_BOUND)
     return FairRun(first.history + rest.history, rest.value, rest.final)
 
 
@@ -429,14 +424,14 @@ def classify_valence(
     from the configuration itself. Those deliver oldest-first, which can
     systematically hide one decision value behind stale replies, so the
     bounded sweep additionally runs a fair probe from every configuration
-    within probe_depth: a short out-of-order prefix plus a fair tail
+    within PROBE_DEPTH: a short out-of-order prefix plus a fair tail
     reaches values no oldest-first schedule can. Every probe goes through
     the scenario's suffix memo (see _fair_run).
 
     Bivalent and already-decided verdicts are absolute and cached by
     behavioral key; bounded verdicts are cached per (key, depth).
     """
-    depth = scenario.valence_depth if depth is None else depth
+    depth = VALENCE_DEPTH if depth is None else depth
     v0 = scenario.decided(config)
     if v0 is not None:
         return Valence(_VALENT[v0], {v0: ()}, exhausted=True, depth=0)
@@ -460,8 +455,7 @@ def classify_valence(
         if 0 in certs and 1 in certs:
             break
         record(staged_probe(scenario, config, q))
-        if scenario.crash_probes:
-            record(fair_completion(scenario, config, crashed=q))
+        record(fair_completion(scenario, config, crashed=q))
 
     if 0 in certs and 1 in certs:
         out = Valence(ValenceTag.BIVALENT, certs, exhausted=False, depth=0)
@@ -480,7 +474,7 @@ def classify_valence(
         if v is not None:
             certs.setdefault(v, hist)
         else:
-            if d <= scenario.probe_depth:
+            if d <= PROBE_DEPTH:
                 record(fair_completion(scenario, nxt), hist)
             truncated = truncated or d >= depth
         if 0 in certs and 1 in certs:
@@ -524,22 +518,16 @@ def bivalent_successor(
     config: Configuration,
     step_e: Step,
     search_depth: int = 6,
-    check_start: bool = False,
 ):
     """Find a bivalent configuration of the form e(E), E reachable from
     config without ever applying e.
 
-    Breadth-first over detour length, in reach's canonical order. When
-    the scenario asks to avoid completions, a completion-free bivalent
-    successor at any depth beats a completing one at a shallower depth;
-    the shallowest completing candidate is remembered as a fallback. e
-    stays applicable along every detour because only e consumes its
-    message.
+    Breadth-first over detour length, in reach's canonical order. A
+    completion-free bivalent successor at any depth beats a completing
+    one at a shallower depth; the shallowest completing candidate is
+    remembered as a fallback. e stays applicable along every detour
+    because only e consumes its message.
     """
-    if check_start:
-        start = classify_valence(scenario, config)
-        if not start.is_bivalent:
-            raise PreconditionViolated("search requires a bivalent starting point")
     if not applicable(config, step_e):
         raise NotApplicable(f"{step_e} is not applicable at the starting configuration")
 
@@ -559,7 +547,7 @@ def bivalent_successor(
             held_configs[det] = cfg
         if cls.is_bivalent:
             new = completed_count(succ) - base_completed
-            if new == 0 or not scenario.avoid_completions:
+            if new == 0:
                 return BivalentSuccessor(succ, det, step_e, cls, new)
             if fallback is None:
                 fallback = BivalentSuccessor(succ, det, step_e, cls, new)
@@ -585,12 +573,8 @@ def _case_two_evidence(scenario, step_e, cand_tags, held_configs) -> tuple:
             cfg = held_configs.get(det)
             completes = None
             if cfg is not None:
-                run = _fair_run(
-                    scenario,
-                    cfg,
-                    [p for p in range(scenario.n) if p != step_e.process],
-                    scenario.fair_bound,
-                )
+                live = [p for p in range(scenario.n) if p != step_e.process]
+                run = _fair_run(scenario, cfg, live, FAIR_BOUND)
                 completes = completed_count(run.final) > completed_count(cfg)
             out.append(
                 {
@@ -637,7 +621,6 @@ class HbiReport:
     completions: tuple  # response events appended along the way (want: none)
     rounds_completed: int
     stuck: Optional[HbiStuck]
-    final: Configuration
 
     def certificates_at(self, index: int) -> dict:
         """Bivalence certificates for the configuration after `index`
@@ -748,7 +731,6 @@ def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiRepo
         completions=completions,
         rounds_completed=rounds_done,
         stuck=stuck,
-        final=current,
     )
 
 
@@ -780,8 +762,6 @@ def completed_implies_univalent_audit(
     max_triples: Optional[int] = None,
     order: str = "bfs",
     check: bool = True,
-    max_nodes: Optional[int] = None,
-    classify_depth: Optional[int] = None,
 ) -> list:
     """Sweep reachable configurations for completed-yet-bivalent states.
 
@@ -798,13 +778,10 @@ def completed_implies_univalent_audit(
     behavior class is audited once, through its first-discovered
     history.
 
-    classify_depth tunes how hard each candidate is classified. The
-    audit only acts on certified-bivalent configurations, so it defaults
-    to the scenario's probe depth: enough to hunt certificates, without
-    paying for univalence confirmation at every completed node.
+    The audit only acts on certified-bivalent configurations, so each
+    candidate is classified to PROBE_DEPTH: enough to hunt certificates,
+    without paying for univalence confirmation at every completed node.
     """
-    if classify_depth is None:
-        classify_depth = scenario.probe_depth
     system = scenario.system
     triples: list = []
 
@@ -815,23 +792,19 @@ def completed_implies_univalent_audit(
             sorted(layer, key=lambda item: rank(item[0]))
             for _, layer in groupby(classes, key=itemgetter(2))
         )
-    for examined, (current, hist, d) in enumerate(classes, 1):
-        if max_nodes is not None and examined > max_nodes:
-            break
+    for current, hist, d in classes:
         if completed_count(current) > 0 and scenario.decided(current) is None:
-            cls = classify_valence(scenario, current, depth=classify_depth)
+            cls = classify_valence(scenario, current, depth=PROBE_DEPTH)
             if cls.is_bivalent:
                 c0, _ = apply_history(current, cls.certificates[0], system)
                 c1, _ = apply_history(current, cls.certificates[1], system)
+                base = OpHistory(current.events)
                 triple = AuditTriple(
                     base_history=hist,
-                    base=op_history_of(current),
-                    branch0=op_history_of(c0),
-                    branch1=op_history_of(c1),
-                    completed=tuple(
-                        f"{o.op}#{o.op_id}"
-                        for o in op_history_of(current).complete_ops()
-                    ),
+                    base=base,
+                    branch0=OpHistory(c0.events),
+                    branch1=OpHistory(c1.events),
+                    completed=tuple(f"{o.op}#{o.op_id}" for o in base.complete_ops()),
                     depth=d,
                 )
                 if check:
@@ -867,11 +840,9 @@ def explore_history_tree(
     exactly what the strategy checkers quantify over. Guarded by
     max_nodes since the tree is exponential in depth.
     """
-    from .checkers import SizeLimitError
-
     system = scenario.system
     init = scenario.initial()
-    tree = ExecutionTree(op_history_of(init))
+    tree = ExecutionTree(OpHistory(init.events))
     frontier = deque([(init, 0, 0)])
     count = 1
     while frontier:
@@ -886,6 +857,6 @@ def explore_history_tree(
                     raise SizeLimitError(
                         f"history tree exceeds {max_nodes} nodes at depth {d + 1}"
                     )
-                cid = tree.add_node(op_history_of(nxt), nid)
+                cid = tree.add_node(OpHistory(nxt.events), nid)
                 frontier.append((nxt, cid, d + 1))
     return tree

@@ -18,15 +18,15 @@ from linlab.model import (
 from linlab.protocols import (
     OPID_STRIDE,
     PROTOCOLS,
+    AbdRegisterProtocol,
     DriverProgram,
     Invoke,
+    RegisterToSAdapter,
     ScriptedSystem,
     SendTag,
     WaitFor,
     build_protocol,
-    make_abd_register,
     make_driver_tos,
-    make_trivial_ack_object,
 )
 from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
 from linlab.valence import build_scenario, fair_completion
@@ -89,7 +89,7 @@ class TestNaiveTos:
 
 class TestAbdRegister:
     def test_read_from_initial_returns_zero(self):
-        inner = make_abd_register(3, writers=(1,), reader=0)
+        inner = AbdRegisterProtocol(3, writers=(1,), reader=0)
         driver = DriverProgram(
             scripts=((Invoke(READ),), (), ()),
             decision_process=0,
@@ -102,7 +102,7 @@ class TestAbdRegister:
         assert run.value == 0
 
     def test_solo_write_then_read_returns_one(self):
-        inner = make_abd_register(3, writers=(1,), reader=0)
+        inner = AbdRegisterProtocol(3, writers=(1,), reader=0)
         driver = DriverProgram(
             scripts=(
                 (WaitFor("OK"), Invoke(READ)),
@@ -120,7 +120,7 @@ class TestAbdRegister:
 
     def test_rejects_tiny_quorum_systems(self):
         with pytest.raises(Exception):
-            make_abd_register(2, writers=(1,), reader=0)
+            AbdRegisterProtocol(2, writers=(1,), reader=0)
 
     def test_every_shallow_completed_history_is_linearizable(self):
         # exhaustive to depth 12, deduplicated by (core, events)
@@ -207,10 +207,8 @@ class TestDriverPrograms:
             build_protocol("paxos")
 
     def test_tos_driver_shape(self):
-        inner = make_abd_register(3, writers=(1,), reader=0)
-        from linlab.protocols import make_tos_from_register
-
-        driver = make_driver_tos(make_tos_from_register(inner))
+        inner = AbdRegisterProtocol(3, writers=(1,), reader=0)
+        driver = make_driver_tos(RegisterToSAdapter(inner))
         assert driver.decision_process == 0
         assert driver.decision_op == "TEST"
 

@@ -23,7 +23,6 @@ from linlab.seqspec import (
     IllegalOp,
     MalformedHistory,
     OpHistory,
-    ToSSpec,
     inv,
     op_history_from_json,
     res,
@@ -81,12 +80,6 @@ class TestSequentialSemantics:
     def test_register_rejects_wide_values(self):
         with pytest.raises(IllegalOp):
             REG_SPEC.apply(0, write(2))
-
-    def test_strict_tos_single_use(self):
-        strict = ToSSpec(strict=True)
-        state, _ = strict.apply(strict.initial_state, SET)
-        with pytest.raises(IllegalOp):
-            strict.apply(state, SET)
 
 
 class TestHistoryReconstruction:
