@@ -86,7 +86,7 @@ class ProgressVerdict:
     witness: Optional[ProgressWitness]
     configs_checked: int
     depth: int
-    exhausted: bool  # reachable space fully swept below the depth bound
+    exhausted: bool  # reachable space fully swept below the depth bound, no witness
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -142,7 +142,8 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, fair_bound: int):
     choice with a surviving pending operation, demand fair progress.
 
     The sweep is truncated when some class lies beyond `depth`: the
-    first class reach yields at depth + 1 ends it."""
+    first class reach yields at depth + 1 ends it. A witness ends it
+    early too, so the sweep is then truncated as well."""
     checked = 0
     for config, hist, d in reach(scenario, scenario.initial(), depth + 1):
         if d > depth:
@@ -160,7 +161,7 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, fair_bound: int):
             ok, ext, quiescent = _fair_progress(scenario, config, live, fair_bound)
             if not ok:
                 witness = ProgressWitness(hist, frozenset(crashed), survivors, ext, quiescent)
-                return False, witness, checked, False
+                return False, witness, checked, True
     return True, None, checked, False
 
 

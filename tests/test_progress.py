@@ -91,6 +91,14 @@ class TestNonblocking:
         assert len(crashed_clients) <= split.c - 1
         assert len(crashed_servers) <= split.s - split.server_floor
 
+    def test_a_witness_leaves_the_sweep_unexhausted(self):
+        # the sweep stops at the witness, so it did not cover the space
+        for name in ("abd-tos", "trivial-ack"):
+            verdict = check_nonblocking(build_scenario(name), depth=6)
+            assert verdict.witness is not None
+            assert verdict.exhausted is False
+            assert verdict.to_json()["exhausted"] is False
+
     def test_verdict_json_roundtrips_through_repr(self):
         verdict = check_nonblocking(build_scenario("trivial-ack"), depth=5)
         out = verdict.to_json()
