@@ -25,13 +25,11 @@ deliberately plain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .seqspec import (
-    INVOCATION,
     OperationEvent,
     OpHistory,
-    RESPONSE,
     SequentialSpec,
     Op,
     Value,

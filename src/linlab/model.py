@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
-
-from .seqspec import OperationEvent
+from typing import Optional, Sequence
 
 
 class NotApplicable(Exception):

@@ -29,7 +29,6 @@ signals (the "OK" handshake) are ordinary buffered messages.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
