@@ -227,3 +227,24 @@ class TestOracleLimits:
         tree = ExecutionTree(H())
         with pytest.raises(SizeLimitError):
             brute_force_strategy_oracle(tree, TOS_SPEC, node_limit=0)
+
+
+def sequential_reads(count):
+    events = []
+    for op_id in range(count):
+        events += [inv(READ, 0, op_id), res(READ, 0, op_id, 0)]
+    return H(*events)
+
+
+class TestOpCap:
+    def test_nine_complete_ops_are_refused(self):
+        h = sequential_reads(9)
+        with pytest.raises(SizeLimitError):
+            is_linearizable(h, REG_SPEC)
+        with pytest.raises(SizeLimitError):
+            strong_linearization_exists(ExecutionTree(h), REG_SPEC)
+
+    def test_eight_complete_ops_are_searched(self):
+        h = sequential_reads(8)
+        assert len(is_linearizable(h, REG_SPEC)) == 8
+        assert isinstance(strong_linearization_exists(ExecutionTree(h), REG_SPEC), Strategy)
