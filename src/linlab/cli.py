@@ -112,13 +112,17 @@ def cmd_simulate(cfg) -> int:
 
 def _resolve_schedule(scenario, init, schedule):
     """Replay a schedule given as [{process, message_uid}] records."""
+    if not isinstance(schedule, list) or not all(isinstance(e, dict) for e in schedule):
+        raise ConfigError("schedule must be a list of {process, message_uid} objects")
     current = init
     history = []
     for i, entry in enumerate(schedule):
         p = entry.get("process")
         uid = entry.get("message_uid")
-        if not isinstance(p, int) or not 0 <= p < scenario.n:
+        if type(p) is not int or not 0 <= p < scenario.n:
             raise ConfigError(f"schedule[{i}]: bad process {p!r}")
+        if uid is not None and type(uid) is not int:
+            raise ConfigError(f"schedule[{i}]: bad message_uid {uid!r}")
         received = None
         if uid is not None:
             match = [m for m in current.messages_for(p) if m.uid == uid]

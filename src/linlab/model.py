@@ -10,10 +10,11 @@ nondeterminism lives in the scheduler's choice of steps.
 
 Configurations are immutable; applying a step yields a new configuration
 and never mutates its input, so exploration code may share them freely.
-Message identity is the triple (seq, sender, receiver) where seq counts
+Message identity is (seq, sender, receiver, payload) where seq counts
 sends per directed channel; identity therefore does not depend on the
 order in which steps of distinct processes are applied, which is what
-makes the commutation check meaningful.
+makes the commutation check meaningful. Since identity includes the
+payload, two buffers are equal only if they carry the same payloads.
 
 Steps of distinct processes commute. Each reads and writes only its own
 process's state and channel row, and consumes a message addressed to
@@ -28,7 +29,7 @@ to sleep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -50,19 +51,20 @@ UID_RADIX = 1024  # Message.uid packs sender and receiver ids below this
 
 @dataclass(frozen=True, slots=True)
 class Message:
-    """A buffered message. Identity is (seq, sender, receiver).
+    """A buffered message. Identity is (seq, sender, receiver, payload).
 
-    seq numbers count sends per directed channel, so the triple is unique
-    within an execution and two runs that send the same payloads along
-    the same channels in the same per-channel order produce identical
-    messages. The payload is excluded from identity; it is determined by
-    the triple anyway.
+    seq numbers count sends per directed channel, so (seq, sender,
+    receiver) names a unique slot within an execution and two runs that
+    send the same payloads along the same channels in the same
+    per-channel order produce identical messages. Across different
+    schedules the same slot can carry different payloads, so the payload
+    is part of identity: a buffer is then a key in its own right.
     """
 
     seq: int
     sender: int
     receiver: int
-    payload: tuple = field(compare=False)
+    payload: tuple
 
     @property
     def uid(self) -> int:
@@ -138,34 +140,9 @@ class Configuration:
         return msgs
 
     def core_key(self) -> tuple:
-        """The forward-behavior core as a hashable value, cached.
-
-        Message equality deliberately ignores payloads (identity within
-        one run is positional), but across different schedules the same
-        slot can carry different payloads, so the key spells them out:
-        (states, frozenset of (seq, sender, receiver, payload), channels).
-
-        Once a configuration's key has been read, apply_step derives each
-        child's key from it (the parent's buffer part minus the received
-        message plus the sent ones) and parks it on the child, where this
-        method picks it up on the child's first read. Keys are built from
-        scratch only for configurations with no read parent: the initial
-        configuration, configurations built directly, and children of
-        configurations whose key nobody read, such as the inner steps of
-        a fair run.
-        """
-        cache = self.__dict__
-        key = cache.get("_core_key")
-        if key is None:
-            key = cache.get("_parked_key")
-            if key is None:
-                key = (
-                    self.states,
-                    frozenset((m.seq, m.sender, m.receiver, m.payload) for m in self.buffer),
-                    self.channels,
-                )
-            cache["_core_key"] = key
-        return key
+        """The forward-behavior core as a hashable value: states, buffer
+        (payloads included, see Message) and channels."""
+        return (self.states, self.buffer, self.channels)
 
     def __repr__(self) -> str:
         return (
@@ -219,34 +196,13 @@ def apply_step(config: Configuration, step: Step, protocol) -> Configuration:
     channels[p] = tuple(row)
     channels = tuple(channels)
 
-    child = Configuration(
+    return Configuration(
         states=states,
         buffer=frozenset(buffer),
         events=config.events + tuple(effect.events),
         step_count=config.step_count + 1,
         channels=channels,
     )
-    parent_key = config.__dict__.get("_core_key")
-    if parent_key is not None:  # derive the child's key, see core_key
-        keys = parent_key[1]
-        got = step.received
-        if got is not None or effect.sends:
-            keys = set(keys)
-            if got is not None:
-                keys.discard((got.seq, got.sender, got.receiver, got.payload))
-            # the send loop above is not reused, so that steps with no
-            # read parent (most of a fair run) pay nothing for this
-            seqs = list(config.channels[p])
-            for receiver, payload in effect.sends:
-                keys.add((seqs[receiver], p, receiver, payload))
-                seqs[receiver] += 1
-            keys = frozenset(keys)
-        # the derived set always contains the true one; equal sizes make
-        # them equal (a received payload that differs from the buffered
-        # one would leave a stale tuple behind)
-        if len(keys) == len(child.buffer):
-            child.__dict__["_parked_key"] = (states, keys, channels)
-    return child
 
 
 def apply_history(
@@ -300,9 +256,10 @@ def events_equal_mod_interleaving(c1: Configuration, c2: Configuration) -> bool:
 def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
     """Do e1 and e2 (distinct processes) commute at config?
 
-    True iff applying them in either order yields identical states,
-    buffer, and channels, with event logs equal up to the interleaving
-    of the two processes' events. Both orders must be applicable.
+    True iff applying them in either order yields the same core key
+    (states, buffer with payloads, channels) and step count, with event
+    logs equal up to the interleaving of the two processes' events.
+    Both orders must be applicable.
     """
     if e1.process == e2.process:
         raise PreconditionViolated("commute_check needs steps of distinct processes")
@@ -311,9 +268,7 @@ def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
     c12 = apply_step(apply_step(config, e1, protocol), e2, protocol)
     c21 = apply_step(apply_step(config, e2, protocol), e1, protocol)
     return (
-        c12.states == c21.states
-        and c12.buffer == c21.buffer
-        and c12.channels == c21.channels
+        c12.core_key() == c21.core_key()
         and c12.step_count == c21.step_count
         and events_equal_mod_interleaving(c12, c21)
     )

@@ -118,11 +118,14 @@ class Scenario:
         return None
 
     def vkey(self, config: Configuration) -> tuple:
-        """Behavioral identity: forward core plus decision status.
+        """Behavioral identity: (states, buffer, channels, decision).
 
-        Raw values rather than digests: states and payload tuples hash
-        by value and the frozensets cache their own hashes, which beats
-        re-encoding the whole configuration on every dedup probe.
+        The buffer is the configuration's own frozenset of messages, and
+        message identity includes the payload, so two configurations
+        share a key only if they buffer the same payloads. Raw values
+        rather than digests: states and messages hash by value and the
+        frozenset caches its own hash, which beats re-encoding the whole
+        configuration on every dedup probe.
         """
         return (config.core_key(), self.decided(config))
 
@@ -246,10 +249,6 @@ class FairRun:
     final: Configuration
 
 
-def _stable(a: Configuration, b: Configuration) -> bool:
-    return a.states == b.states and a.buffer == b.buffer and a.channels == b.channels
-
-
 DECIDED, QUIESCENT, BOUND = "decided", "quiescent", "bound"
 
 
@@ -331,7 +330,7 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
                 break
         if run is not None:
             break
-        if steps < bound and _stable(before, current):
+        if steps < bound and before.core_key() == current.core_key():
             ended = QUIESCENT  # nothing will ever change again
             break
     if run is None:

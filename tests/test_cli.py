@@ -212,6 +212,25 @@ class TestConfigHandling:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "config",
+        [
+            {"schedule": [1]},
+            {"schedule": "ab"},
+            {"schedule": [{"process": True}]},
+            # uid 1 is pending at step 1, and True == 1
+            {"protocol": "abd-reg",
+             "schedule": [{"process": 0}, {"process": 1, "message_uid": True}]},
+        ],
+        ids=["list of ints", "string", "bool process", "bool uid"],
+    )
+    def test_malformed_schedule_exits_two(self, capsys, tmp_path, config):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out = run_cli(capsys, "simulate", "--config", str(cfgfile))
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["check", "--protocol", "naive-tos", "--depth", "-1"],

@@ -52,6 +52,11 @@ def run(argv) -> tuple:
     return code, out.getvalue()
 
 
+def text(record: dict) -> str:
+    """A golden file's exact text, as write() lays it out."""
+    return json.dumps(record, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case):
     golden = json.loads((GOLDEN / f"{case}.json").read_text())
@@ -61,12 +66,19 @@ def test_cli_output_matches_golden(case):
     assert out == golden["stdout"]
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_file_is_laid_out_as_written(case):
+    # so that --write on unchanged output rewrites nothing
+    raw = (GOLDEN / f"{case}.json").read_text()
+    assert raw == text(json.loads(raw))
+
+
 def write() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in sorted(CASES.items()):
         code, out = run(argv)
         record = {"argv": argv, "exit": code, "stdout": out}
-        (GOLDEN / f"{case}.json").write_text(json.dumps(record, indent=1) + "\n")
+        (GOLDEN / f"{case}.json").write_text(text(record))
         print(f"{case}: exit {code}, {len(out)} bytes")
 
 

@@ -1,5 +1,6 @@
 """Execution model: steps, buffers, scheduling, commutation."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from linlab.model import (
     Configuration,
+    Effect,
     Message,
     NotApplicable,
     PreconditionViolated,
@@ -37,11 +39,11 @@ class TestMessageIdentity:
         assert (uid // 1024) % 1024 == sender
         assert uid // (1024 * 1024) == seq
 
-    def test_equality_ignores_payload(self):
+    def test_identity_includes_payload(self):
         a = Message(seq=0, sender=1, receiver=0, payload=("ST", 1))
         b = Message(seq=0, sender=1, receiver=0, payload=("QVR", 0))
-        assert a == b
-        assert hash(a) == hash(b)
+        assert a != b
+        assert len({a, b}) == 2
 
     def test_core_key_distinguishes_payloads(self):
         # same slot, different payload: behavioral identity must differ
@@ -63,7 +65,7 @@ class TestMessageIdentity:
             step_count=1,
             channels=init.channels,
         )
-        assert ca.buffer == cb.buffer
+        assert ca.buffer != cb.buffer
         assert ca.core_key() != cb.core_key()
 
 
@@ -169,6 +171,30 @@ class TestCommutation:
             e2 = rng.choice(enabled_steps(config, q, SchedulingMode.FULL_NONDET))
             assert commute_check(config, e1, e2, s.system)
             checked += 1
+
+    def test_orders_differing_only_in_a_payload_do_not_commute(self):
+        # every step sends the next counter value to process 2 and keeps
+        # its state, so the two orders fill the same slots with different
+        # payloads and agree on everything else
+        counter = itertools.count()
+
+        class Stub:
+            num_processes = 3
+
+            def init_state(self, process):
+                return process
+
+            def transition(self, state, received):
+                return Effect(state, ((2, (next(counter),)),))
+
+        stub = Stub()
+        init = initial_configuration(stub)
+        e1, e2 = Step(0, None), Step(1, None)
+        c12 = apply_step(apply_step(init, e1, stub), e2, stub)
+        c21 = apply_step(apply_step(init, e2, stub), e1, stub)
+        assert c12.states == c21.states and c12.channels == c21.channels
+        assert c12.buffer != c21.buffer
+        assert not commute_check(init, e1, e2, stub)
 
 
 class TestTraceRecords:

@@ -1,8 +1,9 @@
 """The shared breadth-first engine, valence.reach, against two oracles.
 
 The first sweeps one whole layer at a time with set semantics and keys
-each configuration from scratch, so it shares neither reach's ordering,
-nor its early yields, nor the derived core keys of apply_step. The
+each configuration from scratch, spelling each message out as a
+(seq, sender, receiver, payload) tuple, so it shares neither reach's
+ordering, nor its early yields, nor Scenario.vkey's message key. The
 second is reach without sleep sets, which applies every enabled step of
 every expanded class: reach must yield exactly its sequence.
 """
