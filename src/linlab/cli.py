@@ -467,7 +467,8 @@ _INT_KEYS = ("n", "depth", "rounds", "crash", "seed", "max_nodes", "max_triples"
 
 def _check_ints(cfg: dict) -> None:
     """Integers from a config file arrive unchecked, and a negative depth
-    or round count would otherwise run a search that vacuously holds."""
+    or round count would otherwise run a search that vacuously holds. A
+    budget below 1 would stop a search before it looked at anything."""
     for name in _INT_KEYS:
         value = cfg.get(name)
         if value is not None and type(value) is not int:
@@ -475,6 +476,9 @@ def _check_ints(cfg: dict) -> None:
     for name in ("depth", "rounds"):
         if cfg.get(name) is not None and cfg[name] < 0:
             raise ConfigError(f"{name} must not be negative, not {cfg[name]}")
+    for name in ("max_nodes", "max_triples"):
+        if cfg.get(name) is not None and cfg[name] < 1:
+            raise ConfigError(f"{name} must be at least 1, not {cfg[name]}")
 
 
 def main(argv=None) -> int:

@@ -1,15 +1,28 @@
 """Deterministic asynchronous message-passing execution model.
 
 The system is a fixed set of processes exchanging messages through a
-shared buffer (a multiset of sent-but-not-yet-received messages). A step
-is a pair (p, m): process p receives message m, or nothing when m is the
-idle receipt (None). Given the received value, the process transitions
+shared buffer of sent-but-not-yet-received messages. A step is a pair
+(p, m): process p receives message m, or nothing when m is the idle
+receipt (None). Given the received value, the process transitions
 deterministically: it moves to a new local state, sends a finite set of
 messages, and may append operation events to the global log. All
 nondeterminism lives in the scheduler's choice of steps.
 
-Configurations are immutable; applying a step yields a new configuration
+The buffer is kept as one inbox per receiver: a tuple of the messages
+addressed to it, oldest first by (seq, sender). Each message in a
+configuration fills a unique (seq, sender, receiver) slot, so a buffer
+has exactly one such layout and the inboxes compare, and key, exactly
+as the set of messages would. Listing a process's pending messages is
+then an index.
+
+Configurations are immutable; applying a step yields a configuration
 and never mutates its input, so exploration code may share them freely.
+A step that changes nothing, an idle receipt whose effect keeps the
+same state object, sends nothing and logs nothing, returns its input
+configuration itself. Callers may use `child is config` as a cheap
+"nothing changed" test, but a step that changes nothing by value can
+still return a new, equal configuration.
+
 Message identity is (seq, sender, receiver, payload) where seq counts
 sends per directed channel; identity therefore does not depend on the
 order in which steps of distinct processes are applied, which is what
@@ -19,19 +32,24 @@ payload, two buffers are equal only if they carry the same payloads.
 Steps of distinct processes commute. Each reads and writes only its own
 process's state and channel row, and consumes a message addressed to
 its own process, so either step stays enabled after the other, and
-both orders give the same states, buffer (payloads included) and
+both orders give the same states, inboxes (payloads included) and
 channels. Each step appends only its own process's events, so the two
 event logs differ only in interleaving, and a decision, which a single
 process returns, is the same in both. So both orders reach one valence
 class (Scenario.vkey), which is what lets valence.reach put such steps
 to sleep.
+
+Message, Step and Configuration are named tuples, so building, hashing
+and comparing them runs in C. A consequence: they also compare equal to
+plain tuples with the same fields.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class NotApplicable(Exception):
@@ -49,8 +67,7 @@ class PreconditionViolated(Exception):
 UID_RADIX = 1024  # Message.uid packs sender and receiver ids below this
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """A buffered message. Identity is (seq, sender, receiver, payload).
 
     seq numbers count sends per directed channel, so (seq, sender,
@@ -59,6 +76,9 @@ class Message:
     per-channel order produce identical messages. Across different
     schedules the same slot can carry different payloads, so the payload
     is part of identity: a buffer is then a key in its own right.
+
+    Within one receiver's inbox the slots differ in (seq, sender), so
+    messages there order as tuples without ever comparing payloads.
     """
 
     seq: int
@@ -79,23 +99,27 @@ class Message:
         return f"<{self.sender}->{self.receiver} #{self.seq} {self.payload!r}>"
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class _StepFields(NamedTuple):
+    process: int
+    received: Optional[Message] = None
+
+
+class Step(_StepFields):
     """A scheduler choice: process takes one step receiving `received`.
 
     received is None for the idle receipt (always applicable) or a
     buffered Message addressed to the process.
     """
 
-    process: int
-    received: Optional[Message] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.received is not None and self.received.receiver != self.process:
+    def __new__(cls, process: int, received: Optional[Message] = None):
+        if received is not None and received.receiver != process:
             raise ValueError(
-                f"step of process {self.process} cannot receive a message "
-                f"addressed to {self.received.receiver}"
+                f"step of process {process} cannot receive a message "
+                f"addressed to {received.receiver}"
             )
+        return tuple.__new__(cls, (process, received))
 
     def __repr__(self) -> str:
         return f"Step({self.process}, {self.received!r})"
@@ -115,38 +139,43 @@ class SchedulingMode(Enum):
     FULL_NONDET = "full-nondet"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Global system state: per-process states, buffer, event log.
+class Configuration(NamedTuple):
+    """Global system state: per-process states, inboxes, event log.
 
-    channels[p][q] is the number of messages p has sent to q so far; it
-    feeds seq numbers for new sends. step_count counts applied steps.
+    inbox[p] holds the buffered messages addressed to p, oldest first by
+    (seq, sender); see the module docstring for why that layout is
+    unique. channels[p][q] is the number of messages p has sent to q so
+    far; it feeds seq numbers for new sends. The number of steps taken
+    is not recorded: it is the length of the history that led here.
     """
 
     states: tuple
-    buffer: frozenset  # frozenset[Message]
+    inbox: tuple  # tuple[tuple[Message, ...], ...], one row per receiver
     events: tuple  # tuple[OperationEvent]
-    step_count: int
     channels: tuple  # tuple[tuple[int, ...], ...]
 
     @property
     def num_processes(self) -> int:
         return len(self.states)
 
-    def messages_for(self, process: int) -> list[Message]:
+    @property
+    def buffer(self) -> frozenset:
+        """Every buffered message, as a set. Built on each call: for
+        reports and audits, not for hot paths."""
+        return frozenset(m for row in self.inbox for m in row)
+
+    def messages_for(self, process: int) -> tuple[Message, ...]:
         """Buffered messages addressed to process, oldest first."""
-        msgs = [m for m in self.buffer if m.receiver == process]
-        msgs.sort(key=Message.sort_key)
-        return msgs
+        return self.inbox[process]
 
     def core_key(self) -> tuple:
-        """The forward-behavior core as a hashable value: states, buffer
+        """The forward-behavior core as a hashable value: states, inboxes
         (payloads included, see Message) and channels."""
-        return (self.states, self.buffer, self.channels)
+        return (self.states, self.inbox, self.channels)
 
     def __repr__(self) -> str:
         return (
-            f"Configuration(steps={self.step_count}, buffered={len(self.buffer)}, "
+            f"Configuration(buffered={sum(map(len, self.inbox))}, "
             f"events={len(self.events)})"
         )
 
@@ -156,52 +185,76 @@ def initial_configuration(protocol) -> Configuration:
     n = protocol.num_processes
     return Configuration(
         states=tuple(protocol.init_state(p) for p in range(n)),
-        buffer=frozenset(),
+        inbox=((),) * n,
         events=(),
-        step_count=0,
         channels=tuple(tuple(0 for _ in range(n)) for _ in range(n)),
     )
 
 
+def _position(config: Configuration, step: Step) -> int:
+    """Index of the received message in its receiver's inbox, -1 for
+    an idle receipt; NotApplicable if the step cannot apply."""
+    p = step.process
+    if not 0 <= p < len(config.inbox):
+        raise NotApplicable(f"{step} not applicable (no process {p})")
+    if step.received is None:
+        return -1
+    try:
+        # equality, not bisection: a forged payload in a buffered slot
+        # must not be compared by order against the real one
+        return config.inbox[p].index(step.received)
+    except ValueError:
+        raise NotApplicable(f"{step} not applicable (message not buffered?)") from None
+
+
 def applicable(config: Configuration, step: Step) -> bool:
     """Idle receipts always apply; a message receipt needs the message buffered."""
-    if step.received is None:
-        return 0 <= step.process < config.num_processes
-    return step.received in config.buffer
+    try:
+        _position(config, step)
+    except NotApplicable:
+        return False
+    return True
 
 
 def apply_step(config: Configuration, step: Step, protocol) -> Configuration:
     """Apply one step, returning the successor configuration.
 
     Deterministic and pure: same inputs, same output, inputs untouched.
+    An idle receipt whose effect keeps the same state object and sends
+    and logs nothing returns `config` itself.
     """
-    if not applicable(config, step):
-        raise NotApplicable(f"{step} not applicable (message not buffered?)")
+    i = _position(config, step)
     p = step.process
-    effect = protocol.transition(config.states[p], step.received)
+    states = config.states
+    effect = protocol.transition(states[p], step.received)
+    sends = effect.sends
+    if i < 0 and not sends and not effect.events and effect.state is states[p]:
+        return config
 
-    buffer = set(config.buffer)
-    if step.received is not None:
-        buffer.discard(step.received)
+    inbox = list(config.inbox)
+    if i >= 0:
+        row = inbox[p]
+        inbox[p] = row[:i] + row[i + 1:]
+    channels = config.channels
+    if sends:
+        count = list(channels[p])
+        for receiver, payload in sends:
+            m = Message(count[receiver], p, receiver, payload)
+            count[receiver] += 1
+            row = inbox[receiver]
+            j = bisect_right(row, m)
+            inbox[receiver] = row[:j] + (m,) + row[j:]
+        channels = list(channels)
+        channels[p] = tuple(count)
+        channels = tuple(channels)
 
-    row = list(config.channels[p])
-    for receiver, payload in effect.sends:
-        buffer.add(Message(seq=row[receiver], sender=p, receiver=receiver, payload=payload))
-        row[receiver] += 1
-
-    states = list(config.states)
+    states = list(states)
     states[p] = effect.state
-    states = tuple(states)
-    channels = list(config.channels)
-    channels[p] = tuple(row)
-    channels = tuple(channels)
-
     return Configuration(
-        states=states,
-        buffer=frozenset(buffer),
-        events=config.events + tuple(effect.events),
-        step_count=config.step_count + 1,
-        channels=channels,
+        tuple(states),
+        tuple(inbox),
+        config.events + tuple(effect.events) if effect.events else config.events,
+        channels,
     )
 
 
@@ -257,8 +310,8 @@ def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
     """Do e1 and e2 (distinct processes) commute at config?
 
     True iff applying them in either order yields the same core key
-    (states, buffer with payloads, channels) and step count, with event
-    logs equal up to the interleaving of the two processes' events.
+    (states, inboxes with payloads, channels), with event logs equal up
+    to the interleaving of the two processes' events.
     Both orders must be applicable.
     """
     if e1.process == e2.process:
@@ -269,7 +322,6 @@ def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
     c21 = apply_step(apply_step(config, e2, protocol), e1, protocol)
     return (
         c12.core_key() == c21.core_key()
-        and c12.step_count == c21.step_count
         and events_equal_mod_interleaving(c12, c21)
     )
 

@@ -132,7 +132,7 @@ def _fair_progress(scenario: Scenario, config, live, bound: int):
                 return True, tuple(extension), False
             if steps >= bound:
                 break
-        if current.states == before.states and current.buffer == before.buffer:
+        if current.states == before.states and current.inbox == before.inbox:
             return False, tuple(extension), True
     return False, tuple(extension), False
 

@@ -564,7 +564,10 @@ class ScriptedSystem(ProtocolUnderTest):
             else:
                 raise PreconditionViolated(f"unknown driver action {act!r}")
 
-        return Effect(SysState(pc, flags, impl), tuple(sends), tuple(events))
+        new = SysState(pc, flags, impl)
+        # an unchanged state is handed back as the same object, which
+        # lets apply_step recognise a step that changes nothing
+        return Effect(state if new == state else new, tuple(sends), tuple(events))
 
     def invoke(self, state: SysState, op: Op) -> Effect:
         raise PreconditionViolated("scripted system drives its own invocations")

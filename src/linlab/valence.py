@@ -118,14 +118,14 @@ class Scenario:
         return None
 
     def vkey(self, config: Configuration) -> tuple:
-        """Behavioral identity: (states, buffer, channels, decision).
+        """Behavioral identity: (states, inbox, channels, decision).
 
-        The buffer is the configuration's own frozenset of messages, and
-        message identity includes the payload, so two configurations
-        share a key only if they buffer the same payloads. Raw values
-        rather than digests: states and messages hash by value and the
-        frozenset caches its own hash, which beats re-encoding the whole
-        configuration on every dedup probe.
+        The inbox is the configuration's own per-receiver tuples of
+        messages, and message identity includes the payload, so two
+        configurations share a key only if they buffer the same
+        payloads. Raw values rather than digests: states and messages
+        hash by value, which beats re-encoding the whole configuration
+        on every dedup probe.
         """
         return (config.core_key(), self.decided(config))
 
@@ -183,6 +183,13 @@ def reach(
     the siblings P discovered, with a rank no greater than c's, sleep.
     Every skipped edge is a dedup hit, so the yields are exactly those
     of the unpruned sweep.
+
+    A step whose apply_step returns `config` itself (an idle receipt
+    that changes nothing, see the model module) lands in config's own
+    class, which is in `seen` and expandable. It is handled as a dedup
+    hit, sleepers included, without computing a vkey. A no-op that
+    returns a new, equal configuration takes the full path and hits
+    `seen` the same way.
     """
     system = scenario.system
     key = scenario.vkey(start)
@@ -223,6 +230,10 @@ def reach(
                     if forbid is not None and step == forbid:
                         continue
                     child = apply_step(config, step, system)
+                    if child is config:  # an idle no-op: config's own class
+                        if keep and rank is None:
+                            shared.append(step)
+                        continue
                     key = scenario.vkey(child)
                     expandable = not (stop_decided and key[1] is not None)
                     if key in seen:
@@ -276,9 +287,8 @@ class _Suffix(NamedTuple):
         end = self.run.final
         final = Configuration(
             states=end.states,
-            buffer=end.buffer,
+            inbox=end.inbox,
             events=current.events + end.events[self.logged:],
-            step_count=current.step_count + len(tail),
             channels=end.channels,
         )
         return FairRun(tuple(history) + tail, self.run.value, final)

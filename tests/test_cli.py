@@ -312,6 +312,24 @@ class TestConfigHandling:
         assert run_cli(capsys, *argv, "--config", str(cfgfile)) == want
 
     @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["explore", "--protocol", "naive-tos", "--depth", "8"], {"max_triples": 0}),
+            (["check", "--protocol", "naive-tos", "--depth", "3"], {"max_nodes": -3}),
+        ],
+        ids=lambda x: x[0] if isinstance(x, list) else next(iter(x)),
+    )
+    def test_budget_below_one_is_refused(self, capsys, tmp_path, argv, config):
+        # max_triples 0 used to report one triple and exit 1, max_nodes -3
+        # to report a tree exceeding -3 nodes
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(config))
+        code = main(argv + ["--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"{next(iter(config))} must be at least 1" in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["valence", "--protocol", "abd-tos"],

@@ -1,7 +1,7 @@
 """Configuration keys: payloads are part of message identity, and
 SysState hashes are cached.
 
-A configuration's core key is (states, buffer, channels). The buffer is a
+A configuration's core key is (states, inbox, channels). The inbox is a
 key in its own right because a Message compares by (seq, sender,
 receiver, payload).
 """

@@ -53,16 +53,14 @@ class TestMessageIdentity:
         b = Message(seq=0, sender=1, receiver=0, payload=("QVR", 0))
         ca = Configuration(
             states=init.states,
-            buffer=frozenset([a]),
+            inbox=((a,),) + init.inbox[1:],
             events=init.events,
-            step_count=1,
             channels=init.channels,
         )
         cb = Configuration(
             states=init.states,
-            buffer=frozenset([b]),
+            inbox=((b,),) + init.inbox[1:],
             events=init.events,
-            step_count=1,
             channels=init.channels,
         )
         assert ca.buffer != cb.buffer
@@ -125,6 +123,50 @@ class TestBufferConservation:
         for seed in range(6):
             _, hist = random_walk(s, random.Random(seed), 20)
             assert audit_buffer_conservation(s.initial(), hist, s.system)
+
+
+class TestInbox:
+    """The per-receiver inboxes against the buffer-as-a-set definition."""
+
+    WALKS = [("naive-tos", None), ("abd-tos", None), ("abd-reg", None),
+             ("trivial-ack", None), ("abd-tos", 5), ("abd-reg", 5), ("trivial-ack", 6)]
+
+    @given(st.sampled_from(WALKS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_walk_keeps_the_inbox_invariants(self, walk, seed):
+        name, n = walk
+        s = build_scenario(name, n)
+        rng = random.Random(seed)
+        config = s.initial()
+        for _ in range(40):
+            for q in range(s.n):
+                want = sorted((m for m in config.buffer if m.receiver == q),
+                              key=Message.sort_key)
+                assert list(config.messages_for(q)) == want
+            p = rng.randrange(s.n)
+            step = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
+            effect = s.system.transition(config.states[p], step.received)
+            child = apply_step(config, step, s.system)
+
+            # the buffer moves exactly as the set definition says
+            counts = list(config.channels[p])
+            sent = set()
+            for r, payload in effect.sends:
+                sent.add(Message(counts[r], p, r, payload))
+                counts[r] += 1
+            assert child.buffer == (config.buffer - {step.received}) | sent
+
+            idle = step.received is None and not effect.sends and not effect.events
+            assert (child is config) == (idle and effect.state is config.states[p])
+            if idle and effect.state == config.states[p]:
+                assert child == config
+            config = child
+
+    def test_step_refuses_a_message_for_another_process(self):
+        m = Message(seq=0, sender=2, receiver=1, payload=("X",))
+        with pytest.raises(ValueError):
+            Step(0, m)
+        assert Step(1, m).received is m
 
 
 class TestCommutation:
