@@ -125,7 +125,7 @@ def _resolve_schedule(scenario, init, schedule):
             raise ConfigError(f"schedule[{i}]: bad message_uid {uid!r}")
         received = None
         if uid is not None:
-            match = [m for m in current.messages_for(p) if m.uid == uid]
+            match = [m for m in current.inbox[p] if m.uid == uid]
             if not match:
                 raise ConfigError(f"schedule[{i}]: no pending message with uid {uid}")
             received = match[0]
@@ -284,7 +284,7 @@ def _demo_claim3(cfg, say) -> bool:
     init = scenario.initial()
     ok = True
     for p in range(scenario.n):
-        msgs = init.messages_for(p)
+        msgs = init.inbox[p]
         e = Step(p, msgs[0] if msgs else None)
         res = bivalent_successor(scenario, init, e)
         if isinstance(res, SuccessorNotFound):
@@ -488,8 +488,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(cfg)
         _check_ints(cfg)
-        if command != "simulate" and cfg.get("crash") is not None:
-            raise ConfigError(f"crash applies only to simulate, not to {command}")
+        for key, owner in (("crash", "simulate"), ("mode", "check")):
+            if command != owner and cfg.get(key) is not None:
+                raise ConfigError(f"{key} applies only to {owner}, not to {command}")
         return _COMMANDS[command](cfg)
     except (ConfigError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

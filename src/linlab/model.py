@@ -155,18 +155,10 @@ class Configuration(NamedTuple):
     channels: tuple  # tuple[tuple[int, ...], ...]
 
     @property
-    def num_processes(self) -> int:
-        return len(self.states)
-
-    @property
     def buffer(self) -> frozenset:
         """Every buffered message, as a set. Built on each call: for
         reports and audits, not for hot paths."""
         return frozenset(m for row in self.inbox for m in row)
-
-    def messages_for(self, process: int) -> tuple[Message, ...]:
-        """Buffered messages addressed to process, oldest first."""
-        return self.inbox[process]
 
     def core_key(self) -> tuple:
         """The forward-behavior core as a hashable value: states, inboxes
@@ -191,23 +183,23 @@ def initial_configuration(protocol) -> Configuration:
     )
 
 
-def _position(config: Configuration, step: Step) -> int:
+def _position(config: Configuration, step) -> int:
     """Index of the received message in its receiver's inbox, -1 for
     an idle receipt; NotApplicable if the step cannot apply."""
-    p = step.process
+    p, received = step
     if not 0 <= p < len(config.inbox):
         raise NotApplicable(f"{step} not applicable (no process {p})")
-    if step.received is None:
+    if received is None:
         return -1
     try:
         # equality, not bisection: a forged payload in a buffered slot
         # must not be compared by order against the real one
-        return config.inbox[p].index(step.received)
+        return config.inbox[p].index(received)
     except ValueError:
         raise NotApplicable(f"{step} not applicable (message not buffered?)") from None
 
 
-def applicable(config: Configuration, step: Step) -> bool:
+def applicable(config: Configuration, step) -> bool:
     """Idle receipts always apply; a message receipt needs the message buffered."""
     try:
         _position(config, step)
@@ -216,17 +208,21 @@ def applicable(config: Configuration, step: Step) -> bool:
     return True
 
 
-def apply_step(config: Configuration, step: Step, protocol) -> Configuration:
-    """Apply one step, returning the successor configuration.
+def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -> Configuration:
+    """Apply one step, a Step or any (process, received) pair, returning
+    the successor configuration.
 
     Deterministic and pure: same inputs, same output, inputs untouched.
     An idle receipt whose effect keeps the same state object and sends
-    and logs nothing returns `config` itself.
+    and logs nothing returns `config` itself. A caller may pass the
+    received message's index `i` in config.inbox[process], -1 for the
+    idle receipt, to skip looking it up; the step must then match it.
     """
-    i = _position(config, step)
-    p = step.process
+    p, received = step
+    if i is None:
+        i = _position(config, step)
     states = config.states
-    effect = protocol.transition(states[p], step.received)
+    effect = protocol.transition(states[p], received)
     sends = effect.sends
     if i < 0 and not sends and not effect.events and effect.state is states[p]:
         return config
@@ -287,11 +283,9 @@ def enabled_steps(
     only when none is pending. FULL_NONDET yields the idle receipt plus
     one step per pending message. Never empty.
     """
-    pending = config.messages_for(process)
+    pending = config.inbox[process]
     if mode is SchedulingMode.EARLIEST_ONLY:
-        if pending:
-            return (Step(process, pending[0]),)
-        return (Step(process, None),)
+        return (Step(process, pending[0] if pending else None),)
     return (Step(process, None),) + tuple(Step(process, m) for m in pending)
 
 

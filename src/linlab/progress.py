@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .model import SchedulingMode, apply_step, enabled_steps
+from .model import Step, apply_step
 from .protocols import PROTOCOLS
 from .seqspec import RESPONSE, OpHistory
 from .valence import FAIR_BOUND, Scenario, build_scenario, reach
@@ -110,31 +110,34 @@ class ProgressVerdict:
 
 
 def _fair_progress(scenario: Scenario, config, live, bound: int):
-    """Round-robin the live processes until some operation completes.
+    """Round-robin the live processes, oldest message first, until some
+    operation completes, and then return None.
 
-    Returns (completed, extension, quiescent). Stops early when the
-    configuration goes quiescent or spins without progress.
+    A run that completes nothing is returned as (extension, quiescent):
+    it is quiescent when a whole round left the configuration unchanged,
+    and otherwise it kept changing until the bound stopped it.
     """
     system = scenario.system
     live = sorted(live)
     current = config
-    extension: list = []
-    steps = 0
-    while steps < bound:
+    extension: list = []  # (process, received) pairs, made Steps for a stall
+    while len(extension) < bound:
         before = current
         for p in live:
-            step = enabled_steps(current, p, SchedulingMode.EARLIEST_ONLY)[0]
-            logged = len(current.events)
-            current = apply_step(current, step, system)
-            extension.append(step)
-            steps += 1
-            if any(ev.kind == RESPONSE for ev in current.events[logged:]):
-                return True, tuple(extension), False
-            if steps >= bound:
+            row = current.inbox[p]
+            m = row[0] if row else None
+            nxt = apply_step(current, (p, m), system, 0 if row else -1)
+            extension.append((p, m))
+            if nxt.events is not current.events and any(
+                ev.kind == RESPONSE for ev in nxt.events[len(current.events):]
+            ):
+                return None
+            current = nxt
+            if len(extension) >= bound:
                 break
         if current.states == before.states and current.inbox == before.inbox:
-            return False, tuple(extension), True
-    return False, tuple(extension), False
+            return tuple(Step(p, m) for p, m in extension), True
+    return tuple(Step(p, m) for p, m in extension), False
 
 
 def _sweep(scenario: Scenario, depth: int, crash_choices, fair_bound: int):
@@ -158,9 +161,9 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, fair_bound: int):
             if not survivors:
                 continue
             live = [p for p in range(scenario.n) if p not in crashed]
-            ok, ext, quiescent = _fair_progress(scenario, config, live, fair_bound)
-            if not ok:
-                witness = ProgressWitness(hist, frozenset(crashed), survivors, ext, quiescent)
+            stall = _fair_progress(scenario, config, live, fair_bound)
+            if stall is not None:
+                witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)
                 return False, witness, checked, True
     return True, None, checked, False
 

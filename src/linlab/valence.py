@@ -139,11 +139,6 @@ def completed_count(config: Configuration) -> int:
     return sum(1 for ev in config.events if ev.kind == RESPONSE)
 
 
-def pending_count(config: Configuration) -> int:
-    invoked = sum(1 for ev in config.events if ev.kind == INVOCATION)
-    return invoked - completed_count(config)
-
-
 # --- reachability ------------------------------------------------------------
 
 
@@ -154,7 +149,6 @@ def reach(
     *,
     forbid: Optional[Step] = None,
     stop_decided: bool = False,
-    rank=None,
 ):
     """Breadth-first sweep of the configurations reachable from start.
 
@@ -164,9 +158,7 @@ def reach(
     steps go by process id, idle receipt first, then messages oldest
     first. Classes at `depth` are yielded but never kept for expansion;
     so are decided classes under stop_decided. `forbid` is a step no
-    history takes. `rank` maps a configuration to a sort key: each
-    layer is expanded in that order (a stable sort of discovery order),
-    which orders the layer below it.
+    history takes.
 
     Sleep sets (Godefroid, LNCS 1032) skip edges that can only land on
     a class already seen. Say c was reached from its parent P by a step
@@ -175,78 +167,77 @@ def reach(
     c·s lies in the class of P·s·t, where t is c's own step. If the
     class of P·s was expanded before c, that expansion applied t or
     skipped it by this same rule, so c·s is a dedup hit and c skips s.
-    Without rank, s qualifies when P computed it and its class, new or
-    already seen, is expandable (not decided under stop_decided), and
-    when s was asleep at P itself: q's state is then the same as at P's
-    parent, so P·s is not decided either, and its class entered `seen`
-    before P was expanded. Under rank the layer is reordered, so only
-    the siblings P discovered, with a rank no greater than c's, sleep.
-    Every skipped edge is a dedup hit, so the yields are exactly those
-    of the unpruned sweep.
+    s qualifies when P computed it and its class, new or already seen,
+    is expandable (not decided under stop_decided), and when s was
+    asleep at P itself: q's state is then the same as at P's parent, so
+    P·s is not decided either, and its class entered `seen` before P
+    was expanded. Every skipped edge is a dedup hit, so the yields are
+    exactly those of the unpruned sweep. Sleepers are (process, message)
+    pairs matched by identity: a message keeps its object from the send
+    to its receipt.
 
-    A step whose apply_step returns `config` itself (an idle receipt
-    that changes nothing, see the model module) lands in config's own
-    class, which is in `seen` and expandable. It is handled as a dedup
-    hit, sleepers included, without computing a vkey. A no-op that
-    returns a new, equal configuration takes the full path and hits
-    `seen` the same way.
+    Steps go by their index in the inbox, and a Step is built only for
+    a yielded history. A child whose step appended no events has its
+    parent's decision, so its key is its core key and that decision. A
+    step whose apply_step returns `config` itself (an idle receipt that
+    changes nothing, see the model module) is a dedup hit, sleepers
+    included, with no key computed: config's own class is in `seen` and
+    expandable. A no-op that returns a new, equal configuration takes
+    the full path and hits `seen` the same way.
     """
     system = scenario.system
     key = scenario.vkey(start)
     seen = {key}
     yield start, (), 0
-    # an entry is (config, history, sleepers, cut, rank): c's sleepers
-    # are the first `cut` entries of a list shared with its siblings,
-    # in enabled-step order; under rank they are (step, rank) pairs
+    # an entry is (config, decision, history, sleepers, cut): c's
+    # sleepers are the first `cut` (process, message) pairs of a list
+    # shared with its siblings, in enabled-step order
     layer = deque()
     if depth > 0 and not (stop_decided and key[1] is not None):
-        layer.append((start, (), (), 0, None if rank is None else rank(start)))
+        layer.append((start, key[1], (), (), 0))
+    fp, fm = (-1, None) if forbid is None else forbid
     d = 0
     while layer:
         d += 1
-        if rank is not None:
-            layer = deque(sorted(layer, key=itemgetter(4)))
         below: deque = deque()
         keep = d < depth  # else no child is expanded, nor needs sleepers
         while layer:
-            config, hist, sleepers, cut, r = layer.popleft()
-            if rank is not None:
-                sleepers = [s for s, rs in sleepers[:cut] if rs <= r]
-                cut = len(sleepers)
+            config, decision, hist, sleepers, cut = layer.popleft()
             shared: list = []
             i = 0
-            for p in range(scenario.n):
+            for p, row in enumerate(config.inbox):
                 sibling_cut = len(shared)
-                for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
+                for j, m in enumerate((None,) + row, -1):
                     # a sleeper is still enabled here, in the same order,
                     # holding the same message object as at the parent
                     if i < cut:
                         s = sleepers[i]
-                        if s.received is step.received and s.process == p:
+                        if s[1] is m and s[0] == p:
                             i += 1
-                            if keep and rank is None:
-                                shared.append(step)
+                            if keep:
+                                shared.append(s)
                             continue
-                    if forbid is not None and step == forbid:
+                    if p == fp and m == fm:
                         continue
-                    child = apply_step(config, step, system)
+                    step = (p, m)
+                    child = apply_step(config, step, system, j)
                     if child is config:  # an idle no-op: config's own class
-                        if keep and rank is None:
+                        if keep:
                             shared.append(step)
                         continue
-                    key = scenario.vkey(child)
+                    key = ((child.core_key(), decision) if child.events is config.events
+                           else scenario.vkey(child))
                     expandable = not (stop_decided and key[1] is not None)
                     if key in seen:
-                        if keep and expandable and rank is None:
+                        if keep and expandable:
                             shared.append(step)
                         continue
                     seen.add(key)
-                    child_hist = hist + (step,)
+                    child_hist = hist + (Step(p, m),)
                     yield child, child_hist, d
                     if keep and expandable:
-                        cr = None if rank is None else rank(child)
-                        below.append((child, child_hist, shared, sibling_cut, cr))
-                        shared.append(step if rank is None else (step, cr))
+                        below.append((child, key[1], child_hist, shared, sibling_cut))
+                        shared.append(step)
         layer = below
 
 
@@ -299,7 +290,8 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     decision returns, the system stops changing, or the bound is hit.
 
     What happens after a round boundary depends only on the boundary's
-    vkey, the live processes and the steps left, so every boundary a
+    core key (the run is undecided there, or it would have stopped),
+    the live processes and the steps left, so every boundary a
     run passes is remembered in the scenario's suffix memo. A later run
     that reaches a remembered boundary with a budget the suffix fits
     takes the suffix instead of stepping it again; the resumed history,
@@ -316,31 +308,33 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     boundaries: list = []  # (key, history offset, event-log length)
     history: list = []
     current = config
-    steps = 0
     run = None
     ended = BOUND
-    while steps < bound:
-        key = (scenario.vkey(current), live)
+    while len(history) < bound:
+        # no decision in the key: the run checked for one at its start,
+        # and it ends at the step that decides
+        key = (current.core_key(), live)
         hit = memo.get(key)
-        if hit is not None and hit.fits(bound - steps):
+        if hit is not None and hit.fits(bound - len(history)):
             run, ended = hit.resume(history, current), hit.ended
             break
-        boundaries.append((key, steps, len(current.events)))
+        boundaries.append((key, len(history), len(current.events)))
         before = current
         for p in live:
-            step = enabled_steps(current, p, SchedulingMode.EARLIEST_ONLY)[0]
-            current = apply_step(current, step, system)
-            history.append(step)
-            steps += 1
-            v = scenario.decided(current)
+            row = current.inbox[p]
+            m = row[0] if row else None
+            nxt = apply_step(current, (p, m), system, 0 if row else -1)
+            history.append(Step(p, m))
+            v = None if nxt.events is current.events else scenario.decided(nxt)
             if v is not None:
-                run, ended = FairRun(tuple(history), v, current), DECIDED
+                run, ended = FairRun(tuple(history), v, nxt), DECIDED
                 break
-            if steps >= bound:
+            current = nxt
+            if len(history) >= bound:
                 break
         if run is not None:
             break
-        if steps < bound and before.core_key() == current.core_key():
+        if len(history) < bound and before.core_key() == current.core_key():
             ended = QUIESCENT  # nothing will ever change again
             break
     if run is None:
@@ -704,7 +698,7 @@ def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiRepo
     for r in range(1, rounds + 1):
         for slot in range(scenario.n):
             p = queue[0]
-            msgs = current.messages_for(p)
+            msgs = current.inbox[p]
             e = Step(p, msgs[0] if msgs else None)
             res = bivalent_successor(scenario, current, e, search_depth=search_depth)
             if isinstance(res, SuccessorNotFound):
@@ -779,13 +773,15 @@ def completed_implies_univalent_audit(
     it (these trees admit no strategy when the audit works as intended,
     and the verdict is recorded on the triple).
 
-    order="completion-first" visits, within each depth, configurations
+    order="completion-first" examines, within each depth, the classes
     that pair a completed operation with a pending one first, which
     reaches the interesting region much sooner on protocols whose
-    operations take many steps; "bfs" is plain breadth-first. Both are
-    deterministic. Exploration deduplicates by behavioral key, so each
-    behavior class is audited once, through its first-discovered
-    history.
+    operations take many steps; "bfs" examines them in discovery order.
+    The order only decides which class is examined first: both sweep
+    the same breadth-first expansion, and without max_triples both find
+    the same triples. Both are deterministic. Exploration deduplicates
+    by behavioral key, so each behavior class is audited once, through
+    its first-discovered history.
 
     The audit only acts on certified-bivalent configurations, so each
     candidate is classified to PROBE_DEPTH: enough to hunt certificates,
@@ -794,13 +790,9 @@ def completed_implies_univalent_audit(
     system = scenario.system
     triples: list = []
 
-    rank = _completion_rank if order == "completion-first" else None
-    classes = reach(scenario, scenario.initial(), depth, stop_decided=True, rank=rank)
-    if rank is not None:  # examine each layer in the order it is expanded
-        classes = chain.from_iterable(
-            sorted(layer, key=lambda item: rank(item[0]))
-            for _, layer in groupby(classes, key=itemgetter(2))
-        )
+    classes = reach(scenario, scenario.initial(), depth, stop_decided=True)
+    if order == "completion-first":
+        classes = _by_rank(classes, _completion_rank)
     for current, hist, d in classes:
         if completed_count(current) > 0 and scenario.decided(current) is None:
             cls = classify_valence(scenario, current, depth=PROBE_DEPTH)
@@ -829,12 +821,22 @@ def completed_implies_univalent_audit(
     return triples
 
 
+def _by_rank(classes, rank):
+    """reach's yields with each layer stably sorted by rank(config), so
+    a whole layer is swept before any class of it is handed on."""
+    return chain.from_iterable(
+        sorted(layer, key=lambda item: rank(item[0]))
+        for _, layer in groupby(classes, key=itemgetter(2))
+    )
+
+
 def _completion_rank(config: Configuration) -> int:
     """Classes that pair a response with a pending op come first:
     bivalence with a completed op needs something still in flight to
-    swing the decision. The rank only reorders each layer, so the audit
-    never explores more than plain breadth-first."""
-    return 0 if completed_count(config) > 0 and pending_count(config) > 0 else 1
+    swing the decision. The rank only reorders the examination of each
+    layer, so the audit never explores more than plain breadth-first."""
+    invoked = sum(1 for ev in config.events if ev.kind == INVOCATION)
+    return 0 if 0 < completed_count(config) < invoked else 1
 
 
 # --- plain history-tree exploration (for the tree checkers) --------------------

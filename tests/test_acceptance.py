@@ -334,7 +334,7 @@ def test_6_progress_split_and_starvation_witness():
             problems.append("witness extension completed an operation on replay")
         if any(step.process not in live for step in w.extension):
             problems.append("witness extension schedules a crashed process")
-        if w.extension_quiescent and any(config.messages_for(p) for p in live):
+        if w.extension_quiescent and any(config.inbox[p] for p in live):
             problems.append("witness claims quiescence with deliverable messages")
     rows = implication_audit(depth=5)
     if {r["protocol"] for r in rows} != set(PROTOCOLS):

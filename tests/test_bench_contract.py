@@ -1,0 +1,61 @@
+"""The benchmark's tracer against the package it patches.
+
+bench/tracer.py wraps linlab functions and methods by name. A refactor
+that renames or moves one of them breaks traced benchmark runs, so this
+file installs the tracer (read from bench/, never edited), checks the
+count that bench/run.py's self-check relies on, and checks that
+uninstalling it puts every original back.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import linlab.checkers
+import linlab.cli
+import linlab.progress
+import linlab.seqspec
+from linlab import valence
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(tr) -> dict:
+    """Every LAYERS target and every module-level name bound to one,
+    by identity, so that a wrapper left behind shows up as a change."""
+    out = {}
+    for targets in tr.LAYERS.values():
+        for module, attr in targets:
+            owner, name = tr.resolve(module, attr)
+            out[(module, attr)] = owner.__dict__[name]
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "linlab"]
+    for mod in modules:
+        for name, value in vars(mod).items():
+            if callable(value) and getattr(value, "__module__", "").startswith("linlab"):
+                out[(mod.__name__, name)] = value
+    return out
+
+
+def test_install_traces_one_apply_step_per_fair_step_and_restores():
+    tr = load_tracer()
+    before = bindings(tr)
+    tracer = tr.Tracer()
+    restore = tr.install(tracer)  # raises if some LAYERS target is gone
+    try:
+        assert bindings(tr) != before
+        s = valence.build_scenario("naive-tos")
+        run = tracer.job(lambda _: valence.fair_completion(s, s.initial()), None)
+    finally:
+        restore()
+    assert run.history
+    assert tracer.summary()["calls"]["model.apply_step"] == len(run.history)
+    after = bindings(tr)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -354,6 +354,32 @@ class TestConfigHandling:
         assert (code, captured.out) == (2, "")
         assert "crash applies only to simulate" in captured.err
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--protocol", "naive-tos"],
+            ["valence", "--protocol", "naive-tos"],
+            ["explore", "--protocol", "naive-tos", "--depth", "2"],
+            ["hbi", "--protocol", "naive-tos", "--rounds", "1"],
+            ["progress", "--protocol", "naive-tos", "--depth", "2"],
+            ["demo", "init-bivalent"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_mode_outside_check_is_refused(self, capsys, tmp_path, argv, form):
+        # only check reads the mode; the rest would run as if it were unset
+        if form == "flag":
+            extra = ["--mode", "sl"]
+        else:
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps({"mode": "sl"}))
+            extra = ["--config", str(cfgfile)]
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"mode applies only to check, not to {argv[0]}" in captured.err
+
 
 class TestDemo:
     @pytest.mark.parametrize("token", ["init-bivalent", "claim2", "claim3"])

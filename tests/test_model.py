@@ -81,7 +81,7 @@ class TestStepApplication:
         for p in range(s.n):
             options = enabled_steps(config, p, SchedulingMode.EARLIEST_ONLY)
             assert len(options) == 1
-            pending = config.messages_for(p)
+            pending = config.inbox[p]
             if pending:
                 assert options[0].received == pending[0]
                 assert options[0].received == min(pending, key=lambda m: m.sort_key())
@@ -142,7 +142,7 @@ class TestInbox:
             for q in range(s.n):
                 want = sorted((m for m in config.buffer if m.receiver == q),
                               key=Message.sort_key)
-                assert list(config.messages_for(q)) == want
+                assert list(config.inbox[q]) == want
             p = rng.randrange(s.n)
             step = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
             effect = s.system.transition(config.states[p], step.received)
@@ -161,6 +161,35 @@ class TestInbox:
             if idle and effect.state == config.states[p]:
                 assert child == config
             config = child
+
+    @given(st.sampled_from(WALKS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_index_path_matches_the_lookup(self, walk, seed):
+        # apply_step with the received message's inbox index (-1 for the
+        # idle receipt) is the step found by lookup, and a plain
+        # (process, message) pair is accepted wherever a Step is
+        name, n = walk
+        s = build_scenario(name, n)
+        rng = random.Random(seed)
+        config = s.initial()
+        for _ in range(30):
+            for p, row in enumerate(config.inbox):
+                for j, m in enumerate((None,) + row, -1):
+                    want = apply_step(config, Step(p, m), s.system)
+                    assert apply_step(config, (p, m), s.system, j) == want
+                    assert apply_step(config, (p, m), s.system) == want
+                    assert applicable(config, (p, m))
+                    assert apply_history(config, [(p, m)], s.system)[0] == want
+            p = rng.randrange(s.n)
+            step = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
+            config = apply_step(config, step, s.system)
+
+    def test_plain_pair_for_an_unbuffered_message_is_not_applicable(self):
+        s = build_scenario("naive-tos")
+        forged = Message(seq=0, sender=1, receiver=0, payload=("X",))
+        assert not applicable(s.initial(), (0, forged))
+        with pytest.raises(NotApplicable):
+            apply_step(s.initial(), (0, forged), s.system)
 
     def test_step_refuses_a_message_for_another_process(self):
         m = Message(seq=0, sender=2, receiver=1, payload=("X",))

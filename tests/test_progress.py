@@ -80,7 +80,7 @@ class TestNonblocking:
         if w.extension_quiescent:
             # no live process can receive anything further
             for p in live:
-                assert not config.messages_for(p)
+                assert not config.inbox[p]
 
     def test_witness_crash_set_respects_the_split(self):
         s = build_scenario("trivial-ack")

@@ -184,7 +184,7 @@ class TestTrivialAck:
                 config = apply_step(config, Step(m.receiver, m), built.system)
         delivered = 0
         for _ in range(n):
-            replies = [m for m in config.messages_for(0) if m.payload[0] == "PONG"]
+            replies = [m for m in config.inbox[0] if m.payload[0] == "PONG"]
             if not replies:
                 break
             config = apply_step(config, Step(0, replies[0]), built.system)
@@ -225,7 +225,7 @@ class TestDriverPrograms:
         # receiving a non-tag message must not unblock the handshake
         s = build_scenario("abd-reg")
         config = apply_step(s.initial(), Step(1, None), s.system)
-        qt = [m for m in config.messages_for(0) if m.payload[0] != "DRV"]
+        qt = [m for m in config.inbox[0] if m.payload[0] != "DRV"]
         assert qt
         config = apply_step(config, Step(0, qt[0]), s.system)
         invs = [ev for ev in config.events if ev.process == 0 and ev.op.name == "READ"]

@@ -6,6 +6,10 @@ each configuration from scratch, spelling each message out as a
 ordering, nor its early yields, nor Scenario.vkey's message key. The
 second is reach without sleep sets, which applies every enabled step of
 every expanded class: reach must yield exactly its sequence.
+
+A rank no longer steers the expansion. It only reorders each layer for
+examination (the audit's completion-first order, valence._by_rank), so
+the ranked tests check that reordering against a plain stable sort.
 """
 
 from collections import deque
@@ -14,6 +18,7 @@ import pytest
 
 from linlab.model import SchedulingMode, Step, apply_history, apply_step, enabled_steps
 from linlab.valence import (
+    _by_rank,
     _completion_rank,
     build_scenario,
     completed_count,
@@ -51,7 +56,7 @@ def oracle(s, start, depth, forbid=None, stop_decided=False) -> dict:
     return found
 
 
-def unpruned_reach(s, start, depth, *, forbid=None, stop_decided=False, rank=None):
+def unpruned_reach(s, start, depth, *, forbid=None, stop_decided=False):
     """reach before sleep sets: the same order and the same yields, but
     every enabled step of every expanded class is applied."""
     key = s.vkey(start)
@@ -63,8 +68,6 @@ def unpruned_reach(s, start, depth, *, forbid=None, stop_decided=False, rank=Non
     d = 0
     while layer:
         d += 1
-        if rank is not None:
-            layer = deque(sorted(layer, key=lambda item: rank(item[0])))
         below = deque()
         while layer:
             config, hist = layer.popleft()
@@ -98,7 +101,7 @@ def starts(name):
 
 
 def forced_step(s, config) -> Step:
-    msgs = config.messages_for(0)
+    msgs = config.inbox[0]
     return Step(0, msgs[0] if msgs else None)
 
 
@@ -158,7 +161,7 @@ def test_stop_decided_never_extends_a_decision(name, label, depth):
 @pytest.mark.parametrize("name,label,depth", cases())
 def test_rank_reorders_but_keeps_the_classes(name, label, depth):
     s, start, plain = swept(name, label, depth)
-    _, _, ranked = swept(name, label, depth, rank=lambda c: -len(c.buffer))
+    ranked = list(_by_rank(iter(plain), lambda c: -len(c.buffer)))
     assert [d for _, _, d in ranked] == sorted(d for _, _, d in ranked)
     assert {scratch_key(s, c): d for c, _, d in ranked} == {
         scratch_key(s, c): d for c, _, d in plain
@@ -166,17 +169,17 @@ def test_rank_reorders_but_keeps_the_classes(name, label, depth):
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
-def test_rank_orders_the_layer_below(name):
+def test_rank_leaves_the_layer_below_alone(name):
     # ranking the last-discovered layer-1 class first makes it the first
-    # one expanded, so the first layer-2 class extends it
+    # one examined, but the expansion, and so layer 2, stays breadth-first
     s = build_scenario(name)
     plain = list(reach(s, s.initial(), 2))
     last = [c for c, _, d in plain if d == 1][-1]
     hot = scratch_key(s, last)
-    out = list(reach(s, s.initial(), 2, rank=lambda c: scratch_key(s, c) != hot))
-    (_, head, _), *_ = [item for item in out if scratch_key(s, item[0]) == hot]
-    first2 = next(h for _, h, d in out if d == 2)
-    assert first2[:1] == head
+    out = list(_by_rank(reach(s, s.initial(), 2), lambda c: scratch_key(s, c) != hot))
+    assert scratch_key(s, out[1][0]) == hot
+    layer2 = [item for item in plain if item[2] == 2]
+    assert sequence(s, [item for item in out if item[2] == 2]) == sequence(s, layer2)
 
 
 def test_stop_decided_cuts_the_sweep_at_decisions():
@@ -202,14 +205,17 @@ def scrambled(c):
     return sum(m.seq * 7 + m.sender * 3 + m.receiver for m in c.buffer) % 5
 
 
+# name -> (reach keywords, rank or None); a ranked variant examines
+# reach's yields through _by_rank, and the unpruned sweep's yields are
+# stably sorted by (depth, rank) to match
 VARIANTS = {
-    "plain": lambda s, start: {},
-    "forbid": lambda s, start: {"forbid": forced_step(s, start)},
-    "stop_decided": lambda s, start: {"stop_decided": True},
-    "rank": lambda s, start: {"rank": fullest_buffer_first},
-    "rank-completions": lambda s, start: {"rank": most_completions_first},
-    "rank-scrambled": lambda s, start: {"rank": scrambled},
-    "rank-audit": lambda s, start: {"rank": _completion_rank, "stop_decided": True},
+    "plain": (lambda s, start: {}, None),
+    "forbid": (lambda s, start: {"forbid": forced_step(s, start)}, None),
+    "stop_decided": (lambda s, start: {"stop_decided": True}, None),
+    "rank": (lambda s, start: {}, fullest_buffer_first),
+    "rank-completions": (lambda s, start: {}, most_completions_first),
+    "rank-scrambled": (lambda s, start: {}, scrambled),
+    "rank-audit": (lambda s, start: {"stop_decided": True}, _completion_rank),
 }
 
 
@@ -222,10 +228,13 @@ def sequence(s, items) -> list:
 def test_yields_the_unpruned_sequence(name, label, depth, variant):
     s, configs = starts(name)
     start = dict(configs)[label]
-    kw = VARIANTS[variant](s, start)
-    got = sequence(s, reach(s, start, depth, **kw))
-    want = sequence(s, unpruned_reach(s, start, depth, **kw))
-    assert got == want
+    kw, rank = VARIANTS[variant]
+    got = reach(s, start, depth, **kw(s, start))
+    want = list(unpruned_reach(s, start, depth, **kw(s, start)))
+    if rank is not None:
+        got = _by_rank(got, rank)
+        want.sort(key=lambda item: (item[2], rank(item[0])))
+    assert sequence(s, got) == sequence(s, want)
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

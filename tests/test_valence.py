@@ -8,6 +8,7 @@ from linlab.seqspec import REG_SPEC, TOS_SPEC
 from linlab.valence import (
     TIMEOUT,
     ValenceTag,
+    _completion_rank,
     bivalent_successor,
     build_hbi,
     build_scenario,
@@ -205,30 +206,29 @@ class TestAudit:
         assert len(a) == len(b) == 1
         assert a[0].base.events == b[0].base.events
 
-    def test_completion_first_order_is_frozen(self):
-        # Frozen before the audit moved onto the shared reachability engine.
-        # Completion-first must rank each layer both for examination and
-        # for expansion; ranking only the examination order changes the
-        # discovery order below it, and these histories from the 5th on.
-        triples = completed_implies_univalent_audit(
-            build_scenario("abd-tos"), 8, TOS_SPEC, order="completion-first", check=False
-        )
-        base = [(0, None), (1, 1), (0, 1049600), (1, 1025), (1, 1048577), (1, 1049601)]
-        other = [(0, None), (1, 1), (1, 1025), (1, 1049601), (2, 1026), (1, 2049)]
-        assert [
-            [(s.process, None if s.received is None else s.received.uid) for s in t.base_history]
-            for t in triples[:8]
-        ] == [
-            base,
-            other,
-            [(1, None), (0, 1024), (1, 1), (1, 1048577), (1, 1025), (1, 1049601)],
-            [(1, None), (0, 1024), (1, 1), (2, 2), (2, 1026), (1, 2049)],
-            base + [(0, 0)],
-            base + [(0, 1024)],
-            base + [(2, 2)],
-            other + [(0, 0)],
-        ]
-        assert len(triples) == 73
+    def test_completion_first_reorders_only_the_examination(self):
+        # both orders sweep one breadth-first expansion; completion-first
+        # examines each depth's classes stably sorted by completion rank
+        def audit(order):
+            s = build_scenario("abd-tos")
+            return s, completed_implies_univalent_audit(
+                s, 8, TOS_SPEC, order=order, check=False
+            )
+
+        s, bfs = audit("bfs")
+        _, first = audit("completion-first")
+        assert len(bfs) == len(first) == 73
+
+        def rank(t):
+            return _completion_rank(apply_history(s.initial(), t.base_history, s.system)[0])
+
+        for d in sorted({t.depth for t in bfs}):
+            layer = [t for t in bfs if t.depth == d]
+            got = [t for t in first if t.depth == d]
+            assert [t.base_history for t in got] == [
+                t.base_history for t in sorted(layer, key=rank)
+            ]
+        assert [t.depth for t in first] == sorted(t.depth for t in first)
 
     def test_max_triples_short_circuits(self):
         s = build_scenario("naive-tos")
