@@ -234,12 +234,7 @@ def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -
     channels = config.channels
     if sends:
         count = list(channels[p])
-        for receiver, payload in sends:
-            m = Message(count[receiver], p, receiver, payload)
-            count[receiver] += 1
-            row = inbox[receiver]
-            j = bisect_right(row, m)
-            inbox[receiver] = row[:j] + (m,) + row[j:]
+        post(inbox, count, p, sends)
         channels = list(channels)
         channels[p] = tuple(count)
         channels = tuple(channels)
@@ -252,6 +247,20 @@ def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -
         config.events + tuple(effect.events) if effect.events else config.events,
         channels,
     )
+
+
+def post(inbox: list, count: list, p: int, sends) -> None:
+    """File the (receiver, payload) pairs that process p sends into
+    their receivers' rows of `inbox`, numbering each by `count`, p's
+    per-receiver send counts. Both lists are updated in place; each row
+    stays a tuple ordered by (seq, sender), see the module docstring."""
+    for receiver, payload in sends:
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+        m = tuple.__new__(Message, (count[receiver], p, receiver, payload))
+        count[receiver] += 1
+        row = inbox[receiver]
+        j = bisect_right(row, m)
+        inbox[receiver] = row[:j] + (m,) + row[j:]
 
 
 def apply_history(

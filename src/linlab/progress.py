@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .model import Step, apply_step
+from .model import Step, post
 from .protocols import PROTOCOLS
 from .seqspec import RESPONSE, OpHistory
 from .valence import FAIR_BOUND, Scenario, build_scenario, reach
@@ -114,28 +114,44 @@ def _fair_progress(scenario: Scenario, config, live, bound: int):
     operation completes, and then return None.
 
     A run that completes nothing is returned as (extension, quiescent):
-    it is quiescent when a whole round left the configuration unchanged,
-    and otherwise it kept changing until the bound stopped it.
+    it is quiescent when a whole round received and sent nothing and
+    left every state as it was, so that the core (states, inboxes,
+    channels) is unchanged and every later round repeats it, and
+    otherwise it kept changing until the bound stopped it. A last
+    round cut short by the bound never counts as quiescent.
+
+    The run steps private working copies of config's states, inboxes
+    and channel counts in place, through the protocol's transition and
+    model.post, rather than building a Configuration per step. Only
+    states need a snapshot per round: a round that received nothing
+    and sent nothing left every inbox as it was, and one that did
+    either changed the core.
     """
-    system = scenario.system
+    transition = scenario.system.transition
     live = sorted(live)
-    current = config
+    states = list(config.states)
+    inbox = list(config.inbox)
+    counts = [list(row) for row in config.channels]
     extension: list = []  # (process, received) pairs, made Steps for a stall
     while len(extension) < bound:
-        before = current
-        for p in live:
-            row = current.inbox[p]
+        before = tuple(states)
+        moved = False
+        turn = live[: bound - len(extension)]
+        for p in turn:
+            row = inbox[p]
             m = row[0] if row else None
-            nxt = apply_step(current, (p, m), system, 0 if row else -1)
+            effect = transition(states[p], m)
             extension.append((p, m))
-            if nxt.events is not current.events and any(
-                ev.kind == RESPONSE for ev in nxt.events[len(current.events):]
-            ):
+            if effect.events and any(ev.kind == RESPONSE for ev in effect.events):
                 return None
-            current = nxt
-            if len(extension) >= bound:
-                break
-        if current.states == before.states and current.inbox == before.inbox:
+            states[p] = effect.state
+            if row:
+                inbox[p] = row[1:]
+                moved = True
+            if effect.sends:
+                post(inbox, counts[p], p, effect.sends)
+                moved = True
+        if len(turn) == len(live) and not moved and before == tuple(states):
             return tuple(Step(p, m) for p, m in extension), True
     return tuple(Step(p, m) for p, m in extension), False
 

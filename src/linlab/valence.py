@@ -104,18 +104,26 @@ class Scenario:
     def initial(self) -> Configuration:
         return initial_configuration(self.system)
 
-    def decided(self, config: Configuration) -> Optional[int]:
-        """Value the decision operation returned in config, if it has."""
+    def decided(
+        self, config: Configuration, start: int = 0, prior: Optional[int] = None
+    ) -> Optional[int]:
+        """Value the decision operation returned in config, if it has.
+
+        The last decision in the log counts. A caller that knows the
+        decision `prior` of the log's first `start` events passes both,
+        and only the events after them are read: a step appends its
+        events at the end, so one that logs no decision keeps `prior`.
+        """
         if self.decision_op is None:
             return None
-        for ev in reversed(config.events):
+        for ev in reversed(config.events[start:]):
             if (
                 ev.kind == RESPONSE
                 and ev.process == self.decision_process
                 and ev.op.name == self.decision_op
             ):
                 return ev.value
-        return None
+        return prior
 
     def vkey(self, config: Configuration) -> tuple:
         """Behavioral identity: (states, inbox, channels, decision).
@@ -177,11 +185,12 @@ def reach(
     to its receipt.
 
     Steps go by their index in the inbox, and a Step is built only for
-    a yielded history. A child whose step appended no events has its
-    parent's decision, so its key is its core key and that decision. A
-    step whose apply_step returns `config` itself (an idle receipt that
-    changes nothing, see the model module) is a dedup hit, sleepers
-    included, with no key computed: config's own class is in `seen` and
+    a yielded history. A child's key is its core key and its decision,
+    which is its parent's unless the step appended a decision: only the
+    appended events are read (Scenario.decided). A step whose
+    apply_step returns `config` itself (an idle receipt that changes
+    nothing, see the model module) is a dedup hit, sleepers included,
+    with no key computed: config's own class is in `seen` and
     expandable. A no-op that returns a new, equal configuration takes
     the full path and hits `seen` the same way.
     """
@@ -225,8 +234,11 @@ def reach(
                         if keep:
                             shared.append(step)
                         continue
-                    key = ((child.core_key(), decision) if child.events is config.events
-                           else scenario.vkey(child))
+                    if child.events is config.events:
+                        key = (child.core_key(), decision)
+                    else:
+                        key = (child.core_key(),
+                               scenario.decided(child, len(config.events), decision))
                     expandable = not (stop_decided and key[1] is not None)
                     if key in seen:
                         if keep and expandable:
@@ -325,7 +337,8 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             m = row[0] if row else None
             nxt = apply_step(current, (p, m), system, 0 if row else -1)
             history.append(Step(p, m))
-            v = None if nxt.events is current.events else scenario.decided(nxt)
+            v = (None if nxt.events is current.events
+                 else scenario.decided(nxt, len(current.events)))
             if v is not None:
                 run, ended = FairRun(tuple(history), v, nxt), DECIDED
                 break

@@ -1,15 +1,67 @@
 """Progress conditions: single-crash lock-freedom and the quorum-split rule."""
 
-from linlab.model import apply_history, apply_step, enabled_steps, SchedulingMode
+import random
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linlab.model import (
+    Effect,
+    Message,
+    SchedulingMode,
+    Step,
+    apply_history,
+    apply_step,
+    enabled_steps,
+    initial_configuration,
+)
 from linlab.progress import (
     ClientServerSplit,
+    _fair_progress,
     check_1rlf,
     check_nonblocking,
     default_split,
     implication_audit,
 )
 from linlab.seqspec import RESPONSE
-from linlab.valence import build_scenario
+from linlab.valence import FAIR_BOUND, build_scenario, completed_count
+
+
+def reference_fair_progress(s, config, live, bound):
+    """_fair_progress stepped through apply_step, one Configuration per
+    step, as it ran before it stepped private working rows. A round
+    counts as quiescent only when it is whole and left the states and
+    the inboxes as they were. _fair_progress also asks that the round
+    sent nothing; the two differ only on a round that sends a message,
+    receives it again and restores every state (see Echo below)."""
+    live = sorted(live)
+    current = config
+    extension = []
+    while len(extension) < bound:
+        before = current
+        whole = True
+        for p in live:
+            if len(extension) >= bound:
+                whole = False
+                break
+            row = current.inbox[p]
+            step = Step(p, row[0] if row else None)
+            nxt = apply_step(current, step, s.system)
+            extension.append(step)
+            if any(ev.kind == RESPONSE for ev in nxt.events[len(current.events):]):
+                return None
+            current = nxt
+        if whole and current.states == before.states and current.inbox == before.inbox:
+            return tuple(extension), True
+    return tuple(extension), False
+
+
+def crash_choices(s):
+    """Every crash set either check may pick: none, any single process,
+    and the nonblocking adversary's sets."""
+    single = [frozenset()] + [frozenset({q}) for q in range(s.n)]
+    return list(dict.fromkeys(single + default_split(s).allowed_crash_sets()))
 
 
 class TestCrashSets:
@@ -123,3 +175,80 @@ class TestImplicationAudit:
         # at least one protocol is 1RLF yet not nonblocking
         rows = implication_audit(depth=5)
         assert any(r["one_rlf"] and not r["nonblocking"] for r in rows)
+
+
+class TestFairProgress:
+    """The working-row fair loop against the apply_step reference."""
+
+    WALKS = [("naive-tos", None), ("abd-tos", None), ("abd-reg", None),
+             ("trivial-ack", None), ("abd-tos", 5), ("trivial-ack", 6)]
+
+    @given(st.sampled_from(WALKS), st.integers(0, 2**32 - 1), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference_and_stalls_replay(self, walk, seed, bound):
+        name, n = walk
+        s = build_scenario(name, n)
+        rng = random.Random(seed)
+        config = s.initial()
+        for _ in range(6):
+            for crashed in crash_choices(s):
+                live = [p for p in range(s.n) if p not in crashed]
+                got = _fair_progress(s, config, live, bound)
+                assert got == reference_fair_progress(s, config, live, bound)
+                if got is None:
+                    continue
+                extension, quiescent = got
+                assert all(step.process in live for step in extension)
+                end, _ = apply_history(config, extension, s.system)
+                assert completed_count(end) == completed_count(config)
+                if quiescent:
+                    # the live inboxes are empty, so the next round is
+                    # idle receipts, and it changes nothing either
+                    assert not any(end.inbox[p] for p in live)
+                    again, _ = apply_history(end, [Step(p) for p in live], s.system)
+                    assert again.core_key() == end.core_key()
+                else:
+                    assert len(extension) == bound
+            for _ in range(rng.randrange(1, 6)):
+                p = rng.randrange(s.n)
+                step = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
+                config = apply_step(config, step, s.system)
+
+    def test_a_round_cut_by_the_bound_is_not_quiescent(self):
+        # at bound 1 the only round is cut after one step; the stall it
+        # reports is the bound's, and the same run completes at FAIR_BOUND
+        s = build_scenario("trivial-ack")
+        verdict = check_1rlf(s, depth=5, fair_bound=1)
+        w = verdict.witness
+        assert not verdict.holds and w is not None
+        assert w.extension_quiescent is False
+        assert verdict.to_json()["witness"]["extension_quiescent"] is False
+        base, _ = apply_history(s.initial(), w.base_history, s.system)
+        live = [p for p in range(s.n) if p not in w.crash_set]
+        assert _fair_progress(s, base, live, FAIR_BOUND) is None
+
+    def test_a_round_that_sends_is_not_quiescent(self):
+        # every round of Echo ends with the states and inboxes it began
+        # with, but its channels keep counting: the run never settles
+        s = SimpleNamespace(system=Echo())
+        config = initial_configuration(s.system)
+        pings = [Message(k, 0, 1, ("PING",)) for k in range(5)]
+        rounds = tuple(step for m in pings for step in (Step(0), Step(1, m)))
+        assert _fair_progress(s, config, [0, 1], 10) == (rounds, False)
+        assert reference_fair_progress(s, config, [0, 1], 10) == (rounds[:2], True)
+        # with 1 crashed the pings pile up in its inbox
+        assert _fair_progress(s, config, [0], 3) == ((Step(0),) * 3, False)
+
+
+class Echo:
+    """Process 0 pings process 1 on every idle step, and 1 drops the
+    ping: no state ever changes, yet messages flow in every round."""
+
+    num_processes = 2
+
+    def init_state(self, p):
+        return p
+
+    def transition(self, state, received):
+        sends = ((1, ("PING",)),) if state == 0 else ()
+        return Effect(state, sends)
