@@ -34,10 +34,10 @@ process's state and channel row, and consumes a message addressed to
 its own process, so either step stays enabled after the other, and
 both orders give the same states, inboxes (payloads included) and
 channels. Each step appends only its own process's events, so the two
-event logs differ only in interleaving, and a decision, which a single
-process returns, is the same in both. So both orders reach one valence
-class (Scenario.vkey), which is what lets valence.reach put such steps
-to sleep.
+event logs differ only in interleaving. A decision is kept in the
+deciding process's state, so both orders reach one core key, which is
+the valence class (Scenario.vkey); that is what lets valence.reach put
+such steps to sleep.
 
 Message, Step and Configuration are named tuples, so building, hashing
 and comparing them runs in C. A consequence: they also compare equal to
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -132,11 +131,6 @@ class Effect:
     state: object
     sends: tuple = ()  # tuple of (receiver, payload)
     events: tuple = ()  # tuple of OperationEvent
-
-
-class SchedulingMode(Enum):
-    EARLIEST_ONLY = "earliest-only"
-    FULL_NONDET = "full-nondet"
 
 
 class Configuration(NamedTuple):
@@ -282,20 +276,10 @@ def apply_history(
     return current, trace
 
 
-def enabled_steps(
-    config: Configuration, process: int, mode: SchedulingMode
-) -> tuple[Step, ...]:
-    """Steps available to `process` under the given scheduling mode.
-
-    EARLIEST_ONLY yields exactly one step: receive the oldest buffered
-    message addressed to the process, falling back to the idle receipt
-    only when none is pending. FULL_NONDET yields the idle receipt plus
-    one step per pending message. Never empty.
-    """
-    pending = config.inbox[process]
-    if mode is SchedulingMode.EARLIEST_ONLY:
-        return (Step(process, pending[0] if pending else None),)
-    return (Step(process, None),) + tuple(Step(process, m) for m in pending)
+def enabled_steps(config: Configuration, process: int) -> tuple[Step, ...]:
+    """Steps available to `process`: the idle receipt, then one receipt
+    per pending message, oldest first."""
+    return (Step(process, None),) + tuple(Step(process, m) for m in config.inbox[process])
 
 
 def events_equal_mod_interleaving(c1: Configuration, c2: Configuration) -> bool:

@@ -28,8 +28,6 @@ from .protocols import PROTOCOLS
 from .seqspec import RESPONSE, OpHistory
 from .valence import FAIR_BOUND, Scenario, build_scenario, reach
 
-AUDIT_FAIR_BOUND = 160  # implication_audit's fair-run bound
-
 
 @dataclass(frozen=True)
 class ClientServerSplit:
@@ -239,8 +237,8 @@ def implication_audit(depth: int = 6) -> list:
     rows = []
     for name in sorted(PROTOCOLS):
         scenario = build_scenario(name)
-        one = check_1rlf(scenario, depth=depth, fair_bound=AUDIT_FAIR_BOUND)
-        nb = check_nonblocking(scenario, depth=depth, fair_bound=AUDIT_FAIR_BOUND)
+        one = check_1rlf(scenario, depth=depth)
+        nb = check_nonblocking(scenario, depth=depth)
         implication_applies = default_split(scenario).c >= 2
         rows.append(
             {

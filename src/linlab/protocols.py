@@ -39,6 +39,7 @@ from .seqspec import (
     Op,
     OperationEvent,
     READ,
+    RESPONSE,
     SET,
     TEST,
     inv,
@@ -484,10 +485,13 @@ class SysState:
     pc: int
     flags: frozenset  # driver tags received so far
     impl: object
+    decided: Optional[int] = None  # what the driver's decision op returned here
 
     # hashed once: every memo lookup and vkey probe hashes the whole state
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.pc, self.flags, self.impl)))
+        object.__setattr__(
+            self, "_hash", hash((self.pc, self.flags, self.impl, self.decided))
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -500,7 +504,9 @@ class ScriptedSystem(ProtocolUnderTest):
     (driver tags are invisible to it; it sees an idle receipt instead),
     then advances the process's script as far as it can: invocations
     need the implementation idle, waits need their tag, sends need the
-    previous operation finished.
+    previous operation finished. The value the driver's decision op
+    returns is kept in the deciding process's state (SysState.decided),
+    so a configuration's decision is part of its core.
     """
 
     def __init__(self, inner: ProtocolUnderTest, driver: DriverProgram, name: str):
@@ -564,7 +570,13 @@ class ScriptedSystem(ProtocolUnderTest):
             else:
                 raise PreconditionViolated(f"unknown driver action {act!r}")
 
-        new = SysState(pc, flags, impl)
+        decided = state.decided
+        driver = self.driver
+        for ev in events:
+            if (ev.kind == RESPONSE and ev.process == driver.decision_process
+                    and ev.op.name == driver.decision_op):
+                decided = ev.value
+        new = SysState(pc, flags, impl, decided)
         # an unchanged state is handed back as the same object, which
         # lets apply_step recognise a step that changes nothing
         return Effect(state if new == state else new, tuple(sends), tuple(events))
@@ -590,8 +602,6 @@ class BuiltProtocol:
     """
 
     system: ScriptedSystem
-    decision_process: Optional[int]
-    decision_op: Optional[str]
     clients: tuple
     servers: tuple
     spec_kind: Optional[str] = None
@@ -601,36 +611,29 @@ class BuiltProtocol:
 def _build_naive_tos(n: Optional[int]) -> BuiltProtocol:
     n = 2 if n is None else n
     inner = NaiveTosProtocol(n)
-    driver = make_driver_tos(inner)
-    system = ScriptedSystem(inner, driver, "naive-tos")
-    return BuiltProtocol(system, driver.decision_process, driver.decision_op, (0, 1),
-                         tuple(range(2, n)), "tos", "strong")
+    system = ScriptedSystem(inner, make_driver_tos(inner), "naive-tos")
+    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), "tos", "strong")
 
 
 def _build_abd_tos(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
     inner = RegisterToSAdapter(AbdRegisterProtocol(n, writers=(1,), reader=0))
-    driver = make_driver_tos(inner)
-    system = ScriptedSystem(inner, driver, "abd-tos")
-    return BuiltProtocol(system, driver.decision_process, driver.decision_op, (0, 1),
-                         tuple(range(2, n)), "tos", "strong")
+    system = ScriptedSystem(inner, make_driver_tos(inner), "abd-tos")
+    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), "tos", "strong")
 
 
 def _build_abd_reg(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
     inner = AbdRegisterProtocol(n, writers=(0, 1), reader=0)
-    driver = make_driver_2w1r(inner)
-    system = ScriptedSystem(inner, driver, "abd-reg")
-    return BuiltProtocol(system, driver.decision_process, driver.decision_op, (0, 1),
-                         tuple(range(2, n)), "register", "write-strong")
+    system = ScriptedSystem(inner, make_driver_2w1r(inner), "abd-reg")
+    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), "register", "write-strong")
 
 
 def _build_trivial_ack(n: Optional[int]) -> BuiltProtocol:
     n = 4 if n is None else n
     inner = TrivialAckProtocol(n)
-    driver = make_driver_clients(inner, clients=(0, 1))
-    system = ScriptedSystem(inner, driver, "trivial-ack")
-    return BuiltProtocol(system, None, None, (0, 1), tuple(range(2, n)))
+    system = ScriptedSystem(inner, make_driver_clients(inner, clients=(0, 1)), "trivial-ack")
+    return BuiltProtocol(system, (0, 1), tuple(range(2, n)))
 
 
 PROTOCOLS = {

@@ -49,7 +49,6 @@ from .model import (
     Configuration,
     NotApplicable,
     PreconditionViolated,
-    SchedulingMode,
     Step,
     apply_history,
     apply_step,
@@ -95,39 +94,21 @@ class Scenario:
 
     @property
     def decision_process(self) -> Optional[int]:
-        return self.built.decision_process
-
-    @property
-    def decision_op(self) -> Optional[str]:
-        return self.built.decision_op
+        return self.system.driver.decision_process
 
     def initial(self) -> Configuration:
         return initial_configuration(self.system)
 
-    def decided(
-        self, config: Configuration, start: int = 0, prior: Optional[int] = None
-    ) -> Optional[int]:
-        """Value the decision operation returned in config, if it has.
-
-        The last decision in the log counts. A caller that knows the
-        decision `prior` of the log's first `start` events passes both,
-        and only the events after them are read: a step appends its
-        events at the end, so one that logs no decision keeps `prior`.
-        """
-        if self.decision_op is None:
-            return None
-        for ev in reversed(config.events[start:]):
-            if (
-                ev.kind == RESPONSE
-                and ev.process == self.decision_process
-                and ev.op.name == self.decision_op
-            ):
-                return ev.value
-        return prior
+    def decided(self, config: Configuration) -> Optional[int]:
+        """Value the decision operation returned in config, if it has:
+        the deciding process's state records it (SysState.decided)."""
+        dp = self.decision_process
+        return None if dp is None else config.states[dp].decided
 
     def vkey(self, config: Configuration) -> tuple:
-        """Behavioral identity: (states, inbox, channels, decision).
+        """Behavioral identity: the core key (states, inbox, channels).
 
+        The decision is part of it, since the decider's state holds it.
         The inbox is the configuration's own per-receiver tuples of
         messages, and message identity includes the payload, so two
         configurations share a key only if they buffer the same
@@ -135,7 +116,7 @@ class Scenario:
         hash by value, which beats re-encoding the whole configuration
         on every dedup probe.
         """
-        return (config.core_key(), self.decided(config))
+        return config.core_key()
 
 
 def build_scenario(protocol: str = "naive-tos", n: Optional[int] = None, **kw) -> Scenario:
@@ -160,7 +141,7 @@ def reach(
 ):
     """Breadth-first sweep of the configurations reachable from start.
 
-    Yields (config, history, d) once per vkey class within `depth`
+    Yields (config, history, d) once per core key within `depth`
     steps, start first, each as soon as it is discovered, so a caller
     that stops early pays for no more than it saw. Within a layer,
     steps go by process id, idle receipt first, then messages oldest
@@ -171,10 +152,11 @@ def reach(
     Sleep sets (Godefroid, LNCS 1032) skip edges that can only land on
     a class already seen. Say c was reached from its parent P by a step
     of process p, and s is a step of a process q < p enabled at P. Steps
-    of distinct processes commute on vkey (see the model module), so
-    c·s lies in the class of P·s·t, where t is c's own step. If the
-    class of P·s was expanded before c, that expansion applied t or
-    skipped it by this same rule, so c·s is a dedup hit and c skips s.
+    of distinct processes commute on the core key (see the model
+    module), so c·s lies in the class of P·s·t, where t is c's own
+    step. If the class of P·s was expanded before c, that expansion
+    applied t or skipped it by this same rule, so c·s is a dedup hit
+    and c skips s.
     s qualifies when P computed it and its class, new or already seen,
     is expandable (not decided under stop_decided), and when s was
     asleep at P itself: q's state is then the same as at P's parent, so
@@ -185,25 +167,25 @@ def reach(
     to its receipt.
 
     Steps go by their index in the inbox, and a Step is built only for
-    a yielded history. A child's key is its core key and its decision,
-    which is its parent's unless the step appended a decision: only the
-    appended events are read (Scenario.decided). A step whose
-    apply_step returns `config` itself (an idle receipt that changes
-    nothing, see the model module) is a dedup hit, sleepers included,
-    with no key computed: config's own class is in `seen` and
+    a yielded history. A class's key is its core key, which holds its
+    decision in the decider's state, so no event log is read. A step
+    whose apply_step returns `config` itself (an idle receipt that
+    changes nothing, see the model module) is a dedup hit, sleepers
+    included, with no key computed: config's own class is in `seen` and
     expandable. A no-op that returns a new, equal configuration takes
     the full path and hits `seen` the same way.
     """
     system = scenario.system
-    key = scenario.vkey(start)
-    seen = {key}
+    dp = scenario.decision_process
+    stop = stop_decided and dp is not None
+    seen = {start.core_key()}
     yield start, (), 0
-    # an entry is (config, decision, history, sleepers, cut): c's
-    # sleepers are the first `cut` (process, message) pairs of a list
-    # shared with its siblings, in enabled-step order
+    # an entry is (config, history, sleepers, cut): c's sleepers are the
+    # first `cut` (process, message) pairs of a list shared with its
+    # siblings, in enabled-step order
     layer = deque()
-    if depth > 0 and not (stop_decided and key[1] is not None):
-        layer.append((start, key[1], (), (), 0))
+    if depth > 0 and not (stop_decided and scenario.decided(start) is not None):
+        layer.append((start, (), (), 0))
     fp, fm = (-1, None) if forbid is None else forbid
     d = 0
     while layer:
@@ -211,7 +193,7 @@ def reach(
         below: deque = deque()
         keep = d < depth  # else no child is expanded, nor needs sleepers
         while layer:
-            config, decision, hist, sleepers, cut = layer.popleft()
+            config, hist, sleepers, cut = layer.popleft()
             shared: list = []
             i = 0
             for p, row in enumerate(config.inbox):
@@ -234,12 +216,8 @@ def reach(
                         if keep:
                             shared.append(step)
                         continue
-                    if child.events is config.events:
-                        key = (child.core_key(), decision)
-                    else:
-                        key = (child.core_key(),
-                               scenario.decided(child, len(config.events), decision))
-                    expandable = not (stop_decided and key[1] is not None)
+                    key = child.core_key()
+                    expandable = not (stop and child.states[dp].decided is not None)
                     if key in seen:
                         if keep and expandable:
                             shared.append(step)
@@ -248,7 +226,7 @@ def reach(
                     child_hist = hist + (Step(p, m),)
                     yield child, child_hist, d
                     if keep and expandable:
-                        below.append((child, key[1], child_hist, shared, sibling_cut))
+                        below.append((child, child_hist, shared, sibling_cut))
                         shared.append(step)
         layer = below
 
@@ -301,15 +279,16 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     """Round-robin over live processes, oldest message first, until the
     decision returns, the system stops changing, or the bound is hit.
 
+    The decision is read from the decider's state (SysState.decided).
     What happens after a round boundary depends only on the boundary's
-    core key (the run is undecided there, or it would have stopped),
-    the live processes and the steps left, so every boundary a
-    run passes is remembered in the scenario's suffix memo. A later run
-    that reaches a remembered boundary with a budget the suffix fits
-    takes the suffix instead of stepping it again; the resumed history,
-    value, event log and core equal those of the stepped run.
+    core key, the live processes and the steps left, so every boundary
+    a run passes is remembered in the scenario's suffix memo. A later
+    run that reaches a remembered boundary with a budget the suffix
+    fits takes the suffix instead of stepping it again; the resumed
+    history, value, event log and core equal those of the stepped run.
     """
     system = scenario.system
+    dp = scenario.decision_process
     v = scenario.decided(config)
     if v is not None:
         return FairRun((), v, config)
@@ -323,8 +302,6 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     run = None
     ended = BOUND
     while len(history) < bound:
-        # no decision in the key: the run checked for one at its start,
-        # and it ends at the step that decides
         key = (current.core_key(), live)
         hit = memo.get(key)
         if hit is not None and hit.fits(bound - len(history)):
@@ -337,8 +314,7 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             m = row[0] if row else None
             nxt = apply_step(current, (p, m), system, 0 if row else -1)
             history.append(Step(p, m))
-            v = (None if nxt.events is current.events
-                 else scenario.decided(nxt, len(current.events)))
+            v = nxt.states[p].decided if p == dp else None
             if v is not None:
                 run, ended = FairRun(tuple(history), v, nxt), DECIDED
                 break
@@ -365,7 +341,9 @@ def fair_completion(
     bound: Optional[int] = None,
 ) -> FairRun:
     """Fair round-robin schedule with at most one crashed process."""
-    if crashed is not None and not (isinstance(crashed, int) and 0 <= crashed < scenario.n):
+    if crashed is not None and (
+        isinstance(crashed, bool) or not (isinstance(crashed, int) and 0 <= crashed < scenario.n)
+    ):
         raise PreconditionViolated(
             f"crashed must be None or a process id below {scenario.n}, not {crashed!r}"
         )
@@ -644,6 +622,8 @@ class HbiReport:
         use the end configuration's certificates. Valence never recovers
         once lost, so an ancestor of a certified-bivalent configuration
         is itself bivalent via exactly this suffix construction."""
+        if not 0 <= index <= len(self.history):
+            raise IndexError(index)
         for seg in reversed(self.segments):
             if seg.start_index <= index:
                 end = seg.start_index + seg.detour_len + 1
@@ -874,7 +854,7 @@ def explore_history_tree(
         if d >= depth:
             continue
         for p in range(scenario.n):
-            for step in enabled_steps(cfg, p, SchedulingMode.FULL_NONDET):
+            for step in enabled_steps(cfg, p):
                 nxt = apply_step(cfg, step, system)
                 count += 1
                 if count > max_nodes:

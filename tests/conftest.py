@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from linlab.model import SchedulingMode, apply_step, enabled_steps
+from linlab.model import apply_step, enabled_steps
 from linlab.seqspec import IllegalOp
 from linlab.valence import Scenario, build_scenario
 
@@ -54,7 +54,7 @@ def perm_linearizable(h, spec):
 
 
 def random_walk(scenario: Scenario, rng: random.Random, steps: int):
-    """Random FULL_NONDET schedule from the initial configuration.
+    """Random schedule from the initial configuration.
 
     Returns (final configuration, history tuple). Stops early if the
     decision value is fixed, so runs stay short on small protocols.
@@ -65,7 +65,7 @@ def random_walk(scenario: Scenario, rng: random.Random, steps: int):
         if scenario.decided(config) is not None:
             break
         p = rng.randrange(scenario.n)
-        options = enabled_steps(config, p, SchedulingMode.FULL_NONDET)
+        options = enabled_steps(config, p)
         step = rng.choice(options)
         config = apply_step(config, step, scenario.system)
         history.append(step)
@@ -96,7 +96,7 @@ def random_tree(scenario, rng):
         nxt = []
         for cfg, nid in frontier:
             for p in range(scenario.n):
-                steps = enabled_steps(cfg, p, SchedulingMode.FULL_NONDET)
+                steps = enabled_steps(cfg, p)
                 step = rng.choice(steps)
                 child = apply_step(cfg, step, scenario.system)
                 cid = tree.add_node(OpHistory(child.events), nid)

@@ -23,7 +23,6 @@ from linlab.checkers import (
     write_strong_linearization_exists,
 )
 from linlab.model import (
-    SchedulingMode,
     apply_step,
     audit_buffer_conservation,
     commute_check,
@@ -367,7 +366,7 @@ def test_7_step_commutation_and_trace_invariants():
         nxt = []
         for c in frontier:
             for p in range(s.n):
-                for step in enabled_steps(c, p, SchedulingMode.FULL_NONDET):
+                for step in enabled_steps(c, p):
                     child = apply_step(c, step, s.system)
                     key = child.core_key()
                     if key not in seen:
@@ -379,7 +378,7 @@ def test_7_step_commutation_and_trace_invariants():
         steps = [
             step
             for p in range(s.n)
-            for step in enabled_steps(c, p, SchedulingMode.FULL_NONDET)
+            for step in enabled_steps(c, p)
         ]
         for e1, e2 in itertools.combinations(steps, 2):
             if e1.process == e2.process:
@@ -397,7 +396,7 @@ def test_7_step_commutation_and_trace_invariants():
         steps = [
             step
             for p in range(s3.n)
-            for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET)
+            for step in enabled_steps(config, p)
         ]
         pairs = [
             (a, b)

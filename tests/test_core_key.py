@@ -52,17 +52,19 @@ class TestSysStateHash:
         _, hist = random_walk(s, random.Random(2), 12)
         final, _ = apply_history(s.initial(), hist, s.system)
         for state in final.states:
-            assert hash(state) == hash((state.pc, state.flags, state.impl))
+            assert hash(state) == hash((state.pc, state.flags, state.impl, state.decided))
 
     def test_replace_keeps_the_hash_consistent(self):
         state = build_scenario("naive-tos").system.init_state(1)
-        moved = dataclasses.replace(state, pc=state.pc + 1, flags=frozenset({"OK"}))
-        assert hash(moved) == hash((moved.pc, moved.flags, moved.impl))
-        back = dataclasses.replace(moved, pc=state.pc, flags=state.flags)
+        moved = dataclasses.replace(state, pc=state.pc + 1, flags=frozenset({"OK"}), decided=1)
+        assert hash(moved) == hash((moved.pc, moved.flags, moved.impl, moved.decided))
+        back = dataclasses.replace(moved, pc=state.pc, flags=state.flags, decided=None)
         assert back == state and hash(back) == hash(state)
 
     def test_equality_compares_fields_only(self):
         state = build_scenario("naive-tos").system.init_state(0)
-        assert [f.name for f in dataclasses.fields(SysState)] == ["pc", "flags", "impl"]
+        assert [f.name for f in dataclasses.fields(SysState)] == [
+            "pc", "flags", "impl", "decided"]
         assert state != dataclasses.replace(state, pc=state.pc + 1)
+        assert state != dataclasses.replace(state, decided=0)
         assert repr(state).startswith("SysState(pc=")

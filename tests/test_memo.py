@@ -12,7 +12,7 @@ import pytest
 
 import linlab.valence as valence
 from conftest import random_walk, run_corpus
-from linlab.model import SchedulingMode, apply_history, enabled_steps
+from linlab.model import apply_history, enabled_steps
 from linlab.protocols import ScriptedSystem
 from linlab.seqspec import REG_SPEC, TOS_SPEC
 from linlab.valence import (
@@ -71,7 +71,7 @@ class TestTransitionMemo:
             _, trace = apply_history(s.initial(), hist, system)
             for config in trace:
                 for p in range(s.n):
-                    for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
+                    for step in enabled_steps(config, p):
                         state = config.states[p]
                         fresh = ScriptedSystem(system.inner, system.driver, system.name)
                         memo = system.transition(state, step.received)

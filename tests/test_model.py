@@ -13,7 +13,6 @@ from linlab.model import (
     Message,
     NotApplicable,
     PreconditionViolated,
-    SchedulingMode,
     Step,
     apply_history,
     apply_step,
@@ -72,19 +71,19 @@ class TestStepApplication:
         s = build_scenario("naive-tos")
         init = s.initial()
         for p in range(s.n):
-            options = enabled_steps(init, p, SchedulingMode.FULL_NONDET)
+            options = enabled_steps(init, p)
             assert Step(p, None) in options
 
     def test_earliest_only_is_singleton(self):
+        # the fair runs' oldest-first choice, inbox[p][:1], is the
+        # earliest message by (seq, sender), and the first message step
         s = build_scenario("abd-reg")
         config, _ = random_walk(s, random.Random(3), 6)
         for p in range(s.n):
-            options = enabled_steps(config, p, SchedulingMode.EARLIEST_ONLY)
-            assert len(options) == 1
             pending = config.inbox[p]
-            if pending:
-                assert options[0].received == pending[0]
-                assert options[0].received == min(pending, key=lambda m: m.sort_key())
+            for m in pending[:1]:
+                assert m == min(pending, key=Message.sort_key)
+                assert enabled_steps(config, p)[1] == Step(p, m)
 
     def test_apply_step_is_deterministic(self):
         s = build_scenario("abd-tos")
@@ -144,7 +143,7 @@ class TestInbox:
                               key=Message.sort_key)
                 assert list(config.inbox[q]) == want
             p = rng.randrange(s.n)
-            step = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
+            step = rng.choice(enabled_steps(config, p))
             effect = s.system.transition(config.states[p], step.received)
             child = apply_step(config, step, s.system)
 
@@ -181,7 +180,7 @@ class TestInbox:
                     assert applicable(config, (p, m))
                     assert apply_history(config, [(p, m)], s.system)[0] == want
             p = rng.randrange(s.n)
-            step = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
+            step = rng.choice(enabled_steps(config, p))
             config = apply_step(config, step, s.system)
 
     def test_plain_pair_for_an_unbuffered_message_is_not_applicable(self):
@@ -208,7 +207,7 @@ class TestCommutation:
             nxt_frontier = []
             for config in frontier:
                 per_proc = [
-                    enabled_steps(config, p, SchedulingMode.FULL_NONDET)
+                    enabled_steps(config, p)
                     for p in range(s.n)
                 ]
                 for p in range(s.n):
@@ -238,8 +237,8 @@ class TestCommutation:
         while checked < 120:
             config, _ = random_walk(s, rng, rng.randrange(4, 16))
             p, q = rng.sample(range(s.n), 2)
-            e1 = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
-            e2 = rng.choice(enabled_steps(config, q, SchedulingMode.FULL_NONDET))
+            e1 = rng.choice(enabled_steps(config, p))
+            e2 = rng.choice(enabled_steps(config, q))
             assert commute_check(config, e1, e2, s.system)
             checked += 1
 

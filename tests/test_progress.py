@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from linlab.model import (
     Effect,
     Message,
-    SchedulingMode,
     Step,
     apply_history,
     apply_step,
@@ -211,7 +210,7 @@ class TestFairProgress:
                     assert len(extension) == bound
             for _ in range(rng.randrange(1, 6)):
                 p = rng.randrange(s.n)
-                step = rng.choice(enabled_steps(config, p, SchedulingMode.FULL_NONDET))
+                step = rng.choice(enabled_steps(config, p))
                 config = apply_step(config, step, s.system)
 
     def test_a_round_cut_by_the_bound_is_not_quiescent(self):

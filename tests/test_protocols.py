@@ -9,7 +9,6 @@ from linlab.checkers import is_linearizable
 from linlab.model import (
     UID_RADIX,
     PreconditionViolated,
-    SchedulingMode,
     Step,
     apply_step,
     enabled_steps,
@@ -79,7 +78,7 @@ class TestNaiveTos:
         for _ in range(40):
             before = config
             for p in range(s.n):
-                step = enabled_steps(config, p, SchedulingMode.EARLIEST_ONLY)[0]
+                step = Step(p, *config.inbox[p][:1])
                 config = apply_step(config, step, s.system)
             if config.states == before.states and config.buffer == before.buffer:
                 break
@@ -97,7 +96,7 @@ class TestAbdRegister:
         )
         system = ScriptedSystem(inner, driver, "solo-read")
         s = build_scenario("abd-reg")  # only for fair-run plumbing
-        s = type(s)(built=type(s.built)(system, 0, "READ", (0,), (1, 2)), name="solo-read")
+        s = type(s)(built=type(s.built)(system, (0,), (1, 2)), name="solo-read")
         run = fair_completion(s, s.initial())
         assert run.value == 0
 
@@ -114,7 +113,7 @@ class TestAbdRegister:
         )
         system = ScriptedSystem(inner, driver, "w1-then-read")
         s = build_scenario("abd-reg")
-        s = type(s)(built=type(s.built)(system, 0, "READ", (0, 1), (2,)), name="w1-then-read")
+        s = type(s)(built=type(s.built)(system, (0, 1), (2,)), name="w1-then-read")
         run = fair_completion(s, s.initial())
         assert run.value == 1
 
@@ -137,7 +136,7 @@ class TestAbdRegister:
             if d >= 12:
                 continue
             for p in range(s.n):
-                for step in enabled_steps(c, p, SchedulingMode.FULL_NONDET):
+                for step in enabled_steps(c, p):
                     child = apply_step(c, step, s.system)
                     k = (child.core_key(), child.events)
                     if k in seen:

@@ -16,7 +16,7 @@ from collections import deque
 
 import pytest
 
-from linlab.model import SchedulingMode, Step, apply_history, apply_step, enabled_steps
+from linlab.model import Step, apply_history, apply_step, enabled_steps
 from linlab.valence import (
     _by_rank,
     _completion_rank,
@@ -45,7 +45,7 @@ def oracle(s, start, depth, forbid=None, stop_decided=False) -> dict:
             if stop_decided and s.decided(config) is not None:
                 continue
             for p in range(s.n):
-                for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
+                for step in enabled_steps(config, p):
                     if step == forbid:
                         continue
                     child = apply_step(config, step, s.system)
@@ -59,11 +59,10 @@ def oracle(s, start, depth, forbid=None, stop_decided=False) -> dict:
 def unpruned_reach(s, start, depth, *, forbid=None, stop_decided=False):
     """reach before sleep sets: the same order and the same yields, but
     every enabled step of every expanded class is applied."""
-    key = s.vkey(start)
-    seen = {key}
+    seen = {s.vkey(start)}
     yield start, (), 0
     layer = deque()
-    if depth > 0 and not (stop_decided and key[1] is not None):
+    if depth > 0 and not (stop_decided and s.decided(start) is not None):
         layer.append((start, ()))
     d = 0
     while layer:
@@ -72,7 +71,7 @@ def unpruned_reach(s, start, depth, *, forbid=None, stop_decided=False):
         while layer:
             config, hist = layer.popleft()
             for p in range(s.n):
-                for step in enabled_steps(config, p, SchedulingMode.FULL_NONDET):
+                for step in enabled_steps(config, p):
                     if forbid is not None and step == forbid:
                         continue
                     child = apply_step(config, step, s.system)
@@ -82,7 +81,7 @@ def unpruned_reach(s, start, depth, *, forbid=None, stop_decided=False):
                     seen.add(key)
                     child_hist = hist + (step,)
                     yield child, child_hist, d
-                    if d < depth and not (stop_decided and key[1] is not None):
+                    if d < depth and not (stop_decided and s.decided(child) is not None):
                         below.append((child, child_hist))
         layer = below
 
@@ -246,7 +245,7 @@ def test_distinct_processes_commute_on_vkey(name):
     for _, start in configs:
         for config, _, _ in unpruned_reach(s, start, 5):
             per_proc = [
-                enabled_steps(config, p, SchedulingMode.FULL_NONDET) for p in range(s.n)
+                enabled_steps(config, p) for p in range(s.n)
             ]
             for p in range(s.n):
                 for q in range(p + 1, s.n):

@@ -1,10 +1,14 @@
 """Valence classification, adversarial schedules, and the audits."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linlab.checkers import Counterexample, SizeLimitError
-from linlab.model import PreconditionViolated, Step, apply_history
-from linlab.seqspec import REG_SPEC, TOS_SPEC
+from linlab.model import PreconditionViolated, Step, apply_history, apply_step, enabled_steps
+from linlab.seqspec import REG_SPEC, RESPONSE, TOS_SPEC
 from linlab.valence import (
     TIMEOUT,
     ValenceTag,
@@ -21,6 +25,17 @@ from linlab.valence import (
 )
 
 
+def scanned_decision(s, config):
+    """The decision read from the event log: the value of the last
+    response of the decision op by the deciding process."""
+    driver = s.system.driver
+    for ev in reversed(config.events):
+        if (ev.kind == RESPONSE and ev.process == driver.decision_process
+                and ev.op.name == driver.decision_op):
+            return ev.value
+    return None
+
+
 class TestFairSchedules:
     def test_fair_run_is_deterministic(self):
         s = build_scenario("abd-tos")
@@ -30,10 +45,12 @@ class TestFairSchedules:
         assert a.history == b.history
 
     def test_fair_run_reaches_a_decision(self):
-        for name in ("naive-tos", "abd-tos", "abd-reg"):
-            s = build_scenario(name)
+        for name, n in (("naive-tos", None), ("abd-tos", None), ("abd-reg", None),
+                        ("abd-tos", 5)):
+            s = build_scenario(name, n)
             run = fair_completion(s, s.initial())
             assert run.value in (0, 1)
+            assert s.decided(run.final) == scanned_decision(s, run.final) == run.value
 
     def test_crashing_the_decider_times_out(self):
         s = build_scenario("abd-tos")
@@ -43,6 +60,13 @@ class TestFairSchedules:
     @pytest.mark.parametrize("crashed", [{1}, 3, -1, "1"])
     def test_crash_argument_must_name_one_process(self, crashed):
         s = build_scenario("abd-tos")
+        with pytest.raises(PreconditionViolated):
+            fair_completion(s, s.initial(), crashed=crashed)
+
+    @pytest.mark.parametrize("crashed", [True, False])
+    def test_a_bool_is_not_a_process_id(self, crashed):
+        # True == 1, so it would otherwise crash process 1
+        s = build_scenario("naive-tos")
         with pytest.raises(PreconditionViolated):
             fair_completion(s, s.initial(), crashed=crashed)
 
@@ -150,6 +174,14 @@ class TestHbi:
             for v, cert in certs.items():
                 final, _ = apply_history(base, cert, s.system)
                 assert s.decided(final) == v
+
+    def test_certificates_only_within_the_history(self):
+        rep = build_hbi(build_scenario("abd-tos"), rounds=1)
+        assert len(rep.history) == 3
+        assert set(rep.certificates_at(3)) == {0, 1}
+        for index in (-1, 4, 53):
+            with pytest.raises(IndexError):
+                rep.certificates_at(index)
 
     def test_construction_is_deterministic(self):
         a = build_hbi(build_scenario("abd-tos"), rounds=3)
@@ -277,3 +309,35 @@ class TestScenarioPlumbing:
         assert completed_count(two) == 1  # SET done, TEST not started
         three, _ = apply_history(two, [Step(0, None)], s.system)
         assert completed_count(three) == 2
+
+
+class TestDecisionInState:
+    """Scenario.decided reads the decider's state; the event log agrees."""
+
+    WALKS = [("naive-tos", None), ("abd-tos", None), ("abd-reg", None),
+             ("trivial-ack", None), ("abd-tos", 5), ("trivial-ack", 6)]
+
+    @given(st.sampled_from(WALKS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_decided_matches_the_event_log(self, walk, seed):
+        # a random prefix, a fair run that usually decides, random steps after
+        name, n = walk
+        s = build_scenario(name, n)
+        rng = random.Random(seed)
+
+        def take(config, step):
+            child = apply_step(config, step, s.system)
+            assert s.decided(child) == scanned_decision(s, child)
+            return child
+
+        def any_step(config):
+            return rng.choice(enabled_steps(config, rng.randrange(s.n)))
+
+        config = s.initial()
+        assert s.decided(config) is None
+        for _ in range(rng.randrange(16)):
+            config = take(config, any_step(config))
+        for step in fair_completion(s, config).history:
+            config = take(config, step)
+        for _ in range(10):
+            config = take(config, any_step(config))
