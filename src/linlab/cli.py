@@ -18,7 +18,6 @@ from .checkers import SizeLimitError, is_linearizable
 from .model import PreconditionViolated, Step, apply_step, trace_records
 from .progress import check_1rlf, check_nonblocking, default_split, implication_audit
 from .protocols import PROTOCOLS
-from .seqspec import REG_SPEC, TOS_SPEC
 from .valence import (
     FAIR_BOUND,
     VALENCE_DEPTH,
@@ -34,7 +33,6 @@ from .valence import (
     fair_completion,
 )
 
-_SPECS = {"tos": TOS_SPEC, "register": REG_SPEC}
 _MODE_FOR_CHECKER = {"strong": "sl", "write-strong": "wsl", None: "lin"}
 
 
@@ -69,10 +67,6 @@ def _opt(cfg, name, default):
     """cfg[name], where a missing key and null both mean the default."""
     value = cfg.get(name)
     return default if value is None else value
-
-
-def _spec_for(scenario):
-    return _SPECS.get(scenario.built.spec_kind)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -140,7 +134,7 @@ def cmd_check(cfg) -> int:
     mode = cfg["mode"] or _MODE_FOR_CHECKER[scenario.built.checker_mode]
     if mode not in ("lin", "sl", "wsl"):
         raise ConfigError(f"unknown check mode {mode!r}; expected lin, sl or wsl")
-    spec = _spec_for(scenario)
+    spec = scenario.built.spec
     if spec is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no sequential object to check")
     depth = _opt(cfg, "depth", 4)
@@ -180,7 +174,7 @@ def cmd_valence(cfg) -> int:
 
 def cmd_explore(cfg) -> int:
     scenario = _scenario(cfg)
-    spec = _spec_for(scenario)
+    spec = scenario.built.spec
     if spec is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no sequential object to audit")
     depth = _opt(cfg, "depth", 10)
@@ -261,11 +255,10 @@ def _demo_init_bivalent(cfg, say) -> bool:
 
 
 def _demo_claim2(cfg, say) -> bool:
-    cfg = dict(cfg, protocol="naive-tos", n=None)
-    scenario = _scenario(cfg)
+    scenario = build_scenario("naive-tos")
     depth = _opt(cfg, "depth", 12)
     triples = completed_implies_univalent_audit(
-        scenario, depth, TOS_SPEC, checker_mode="strong", max_triples=1,
+        scenario, depth, scenario.built.spec, checker_mode="strong", max_triples=1,
         order="completion-first",
     )
     if not triples:
@@ -319,8 +312,7 @@ def _demo_claim3(cfg, say) -> bool:
 
 
 def _demo_hbi(cfg, say) -> bool:
-    cfg = dict(cfg, protocol="abd-tos", n=None)
-    scenario = _scenario(cfg)
+    scenario = build_scenario("abd-tos", seed=cfg["seed"])
     rounds = _opt(cfg, "rounds", 3)
     report = build_hbi(scenario, rounds)
     say(
@@ -338,11 +330,10 @@ def _demo_hbi(cfg, say) -> bool:
 
 
 def _demo_subclaim_wsl(cfg, say) -> bool:
-    cfg = dict(cfg, protocol="abd-reg", n=None)
-    scenario = _scenario(cfg)
+    scenario = build_scenario("abd-reg")
     depth = _opt(cfg, "depth", 16)
     triples = completed_implies_univalent_audit(
-        scenario, depth, REG_SPEC, checker_mode="write-strong", max_triples=1,
+        scenario, depth, scenario.built.spec, checker_mode="write-strong", max_triples=1,
         order="completion-first",
     )
     if not triples:
@@ -389,8 +380,6 @@ _DEMOS = {
 
 def cmd_demo(cfg) -> int:
     token = cfg["claim"]
-    if token not in _DEMOS:
-        raise ConfigError(f"unknown demo {token!r}; known: {', '.join(sorted(_DEMOS))}")
     lines: list = []
     ok = _DEMOS[token](cfg, lines.append)
     lines.append(f"[{token}] {'PASS' if ok else 'FAIL'}")
@@ -399,33 +388,6 @@ def cmd_demo(cfg) -> int:
 
 
 # --- argument plumbing ----------------------------------------------------------
-
-
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="linlab",
-        description="simulate message-passing protocols and audit their "
-        "linearizability, valence and progress properties",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--protocol", default="naive-tos")
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--rounds", type=int, default=None)
-        sp.add_argument("--crash", type=int, default=None)
-        sp.add_argument("--mode", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--config", default=None, help="JSON config; overrides flags")
-
-    for name in ("simulate", "check", "valence", "explore", "hbi", "progress"):
-        common(sub.add_parser(name))
-    demo = sub.add_parser("demo")
-    demo.add_argument("claim", choices=sorted(_DEMOS))
-    common(demo)
-    return p
 
 
 _COMMANDS = {
@@ -438,10 +400,39 @@ _COMMANDS = {
     "demo": cmd_demo,
 }
 
-_CONFIG_KEYS = {
-    "protocol", "n", "depth", "rounds", "crash", "mode", "seed", "out",
-    "schedule", "max_nodes", "max_triples", "claim",
+# The settings each command, and each demo token, reads. Any other
+# setting given to it, by flag or config file, is a configuration error.
+_READS = {
+    "simulate": ("protocol", "n", "depth", "crash", "seed", "schedule"),
+    "check": ("protocol", "n", "depth", "mode", "max_nodes"),
+    "valence": ("protocol", "n", "depth"),
+    "explore": ("protocol", "n", "depth", "max_triples"),
+    "hbi": ("protocol", "n", "depth", "rounds", "seed"),
+    "progress": ("protocol", "n", "depth"),
+    "demo init-bivalent": ("protocol", "n"),
+    "demo claim2": ("depth",),
+    "demo claim3": (),
+    "demo hbi": ("rounds", "seed"),
+    "demo subclaim-wsl": ("depth",),
+    "demo appendix": (),
 }
+
+_SHARED = ("out", "claim")  # every command reads out; claim names the demo
+_CONFIG_KEYS = {key for reads in _READS.values() for key in reads}.union(_SHARED)
+
+
+def _parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="linlab",
+        description="simulate message-passing protocols and audit their "
+        "linearizability, valence and progress properties",
+    )
+    p.add_argument("command", choices=_COMMANDS)
+    p.add_argument("claim", nargs="?", choices=sorted(_DEMOS), help="demo token")
+    for name in ("protocol", "n", "depth", "rounds", "crash", "mode", "seed", "out"):
+        p.add_argument(f"--{name}", type=int if name in _INT_KEYS else None)
+    p.add_argument("--config", help="JSON config; overrides flags")
+    return p
 
 
 def _load_config(cfg: dict) -> dict:
@@ -481,16 +472,26 @@ def _check_ints(cfg: dict) -> None:
             raise ConfigError(f"{name} must be at least 1, not {cfg[name]}")
 
 
+def _refuse_unread(name: str, cfg: dict) -> None:
+    """A setting the command does not read would yield a verdict about
+    something else than what was asked, so it is refused."""
+    if name not in _READS:
+        raise ConfigError(f"unknown command {name!r}; known: {', '.join(_READS)}")
+    for key, value in cfg.items():
+        if value is not None and key not in _READS[name] and key not in _SHARED:
+            owners = ", ".join(owner for owner, reads in _READS.items() if key in reads)
+            raise ConfigError(f"{key} applies only to {owners}, not to {name}")
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    cfg = vars(args)
+    cfg = vars(_parser().parse_args(argv))
     command = cfg.pop("command")
     try:
         cfg = _load_config(cfg)
         _check_ints(cfg)
-        for key, owner in (("crash", "simulate"), ("mode", "check")):
-            if command != owner and cfg.get(key) is not None:
-                raise ConfigError(f"{key} applies only to {owner}, not to {command}")
+        claim = cfg["claim"]
+        _refuse_unread(command if claim is None else f"{command} {claim}", cfg)
+        cfg["protocol"] = _opt(cfg, "protocol", "naive-tos")
         return _COMMANDS[command](cfg)
     except (ConfigError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

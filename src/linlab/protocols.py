@@ -39,9 +39,12 @@ from .seqspec import (
     Op,
     OperationEvent,
     READ,
+    REG_SPEC,
     RESPONSE,
+    SequentialSpec,
     SET,
     TEST,
+    TOS_SPEC,
     inv,
     res,
     write,
@@ -595,8 +598,8 @@ class ScriptedSystem(ProtocolUnderTest):
 class BuiltProtocol:
     """A ready-to-run system: composed automaton plus scenario metadata.
 
-    spec_kind names the sequential object the history events speak
-    ("tos", "register", or None when there is no object to check), and
+    spec is the sequential object the history events speak (TOS_SPEC,
+    REG_SPEC, or None when there is no object to check), and
     checker_mode says which tree checker is the interesting one for the
     shipped driver program.
     """
@@ -604,7 +607,7 @@ class BuiltProtocol:
     system: ScriptedSystem
     clients: tuple
     servers: tuple
-    spec_kind: Optional[str] = None
+    spec: Optional[SequentialSpec] = None
     checker_mode: Optional[str] = None
 
 
@@ -612,21 +615,21 @@ def _build_naive_tos(n: Optional[int]) -> BuiltProtocol:
     n = 2 if n is None else n
     inner = NaiveTosProtocol(n)
     system = ScriptedSystem(inner, make_driver_tos(inner), "naive-tos")
-    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), "tos", "strong")
+    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), TOS_SPEC, "strong")
 
 
 def _build_abd_tos(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
     inner = RegisterToSAdapter(AbdRegisterProtocol(n, writers=(1,), reader=0))
     system = ScriptedSystem(inner, make_driver_tos(inner), "abd-tos")
-    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), "tos", "strong")
+    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), TOS_SPEC, "strong")
 
 
 def _build_abd_reg(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
     inner = AbdRegisterProtocol(n, writers=(0, 1), reader=0)
     system = ScriptedSystem(inner, make_driver_2w1r(inner), "abd-reg")
-    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), "register", "write-strong")
+    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), REG_SPEC, "write-strong")
 
 
 def _build_trivial_ack(n: Optional[int]) -> BuiltProtocol:

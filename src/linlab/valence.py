@@ -81,7 +81,6 @@ class Scenario:
     seed: Optional[int] = None
     rotation: Optional[tuple] = None
     _absolute: dict = field(default_factory=dict, repr=False, compare=False)
-    _bounded: dict = field(default_factory=dict, repr=False, compare=False)
     _suffixes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -223,7 +222,8 @@ def reach(
                             shared.append(step)
                         continue
                     seen.add(key)
-                    child_hist = hist + (Step(p, m),)
+                    # m came from inbox[p], so Step's receiver check cannot fail
+                    child_hist = hist + (tuple.__new__(Step, (p, m)),)
                     yield child, child_hist, d
                     if keep and expandable:
                         below.append((child, child_hist, shared, sibling_cut))
@@ -313,7 +313,7 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             row = current.inbox[p]
             m = row[0] if row else None
             nxt = apply_step(current, (p, m), system, 0 if row else -1)
-            history.append(Step(p, m))
+            history.append(tuple.__new__(Step, (p, m)))  # m is from inbox[p]
             v = nxt.states[p].decided if p == dp else None
             if v is not None:
                 run, ended = FairRun(tuple(history), v, nxt), DECIDED
@@ -423,7 +423,7 @@ def classify_valence(
     the scenario's suffix memo (see _fair_run).
 
     Bivalent and already-decided verdicts are absolute and cached by
-    behavioral key; bounded verdicts are cached per (key, depth).
+    behavioral key; bounded verdicts are not cached.
     """
     depth = VALENCE_DEPTH if depth is None else depth
     v0 = scenario.decided(config)
@@ -432,9 +432,6 @@ def classify_valence(
 
     key = scenario.vkey(config)
     hit = scenario._absolute.get(key)
-    if hit is not None:
-        return hit
-    hit = scenario._bounded.get((key, depth))
     if hit is not None:
         return hit
 
@@ -481,9 +478,7 @@ def classify_valence(
         out = Valence(_VALENT[v], certs, exhausted=True, depth=depth)
         scenario._absolute[key] = out
         return out
-    out = Valence(ValenceTag.UNKNOWN_AT_BOUND, certs, exhausted=not truncated, depth=depth)
-    scenario._bounded[(key, depth)] = out
-    return out
+    return Valence(ValenceTag.UNKNOWN_AT_BOUND, certs, exhausted=not truncated, depth=depth)
 
 
 # --- bivalent successor search ------------------------------------------------

@@ -92,7 +92,7 @@ class TestLinearizations:
         rng = random.Random(5)
         for name in ("naive-tos", "abd-reg"):
             s = build_scenario(name)
-            spec = TOS_SPEC if s.built.spec_kind == "tos" else REG_SPEC
+            spec = s.built.spec
             for _ in range(25):
                 config, _ = random_walk(s, rng, rng.randrange(3, 22))
                 h = OpHistory(config.events)

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report shapes, config handling."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from linlab import cli
 from linlab.cli import main
 
 
@@ -393,3 +396,108 @@ class TestDemo:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "claim9"])
         assert exc.value.code == 2
+
+
+# every setting a command can be given, and a valid value for each; the
+# first seven are flags, the other three come only from a config file
+SETTINGS = {
+    "protocol": "abd-tos", "n": 3, "depth": 2, "rounds": 2, "crash": 1,
+    "mode": "sl", "seed": 5, "schedule": [], "max_nodes": 7, "max_triples": 2,
+}
+FLAGS = ("protocol", "n", "depth", "rounds", "crash", "mode", "seed")
+READ = [(name, key) for name, reads in cli._READS.items() for key in reads]
+UNREAD = [(name, key) for name, reads in cli._READS.items()
+          for key in SETTINGS if key not in reads]
+
+
+def by_form(pairs):
+    return [(name, key, form) for name, key in pairs
+            for form in ("flag", "config") if form == "config" or key in FLAGS]
+
+
+def given(name, key, form, tmp_path):
+    """argv for `name` with `key` set to its value by flag or config."""
+    if form == "flag":
+        return name.split() + [f"--{key}", str(SETTINGS[key])]
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({key: SETTINGS[key]}))
+    return name.split() + ["--config", str(cfgfile)]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Stub out every command and demo; return the cfgs they were given."""
+    seen = []
+    for command in cli._COMMANDS:
+        if command != "demo":
+            monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
+    for token in cli._DEMOS:
+        monkeypatch.setitem(cli._DEMOS, token, lambda cfg, say: seen.append(cfg) or True)
+    return seen
+
+
+def readme_reads() -> dict:
+    """The README's table of the settings each command reads."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text[text.index("| command | settings it reads |"):].splitlines()
+    rows = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        name, reads = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = tuple(re.findall(r"`(\w+)`", reads))
+    return rows
+
+
+class TestSettingsTable:
+    def test_one_entry_per_command_and_demo_token(self):
+        want = [c for c in cli._COMMANDS if c != "demo"] + [f"demo {t}" for t in cli._DEMOS]
+        assert sorted(cli._READS) == sorted(want)
+
+    def test_settings_here_are_every_config_key(self):
+        assert set(SETTINGS) == cli._CONFIG_KEYS - {"out", "claim"}
+        assert (len(READ), len(UNREAD)) == (32, 88)
+
+    def test_readme_table_matches_the_code(self):
+        assert readme_reads() == cli._READS
+
+    @pytest.mark.parametrize("name,key,form", by_form(READ))
+    def test_read_setting_reaches_the_command(
+        self, capsys, tmp_path, recorded, name, key, form
+    ):
+        code = main(given(name, key, form, tmp_path))
+        assert (code, capsys.readouterr().err) == (0, "")
+        [cfg] = recorded
+        assert cfg[key] == SETTINGS[key]
+
+    @pytest.mark.parametrize("name,key,form", by_form(UNREAD))
+    def test_unread_setting_is_refused(self, capsys, tmp_path, recorded, name, key, form):
+        code = main(given(name, key, form, tmp_path))
+        captured = capsys.readouterr()
+        assert (code, captured.out, recorded) == (2, "", [])
+        assert captured.err.startswith(f"error: {key} applies only to ")
+        assert captured.err.endswith(f", not to {name}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["demo", "claim2", "--protocol", "abd-tos"],
+             "protocol applies only to simulate, check, valence, explore, hbi, "
+             "progress, demo init-bivalent, not to demo claim2"),
+            (["valence", "--rounds", "1"], "rounds applies only to hbi, demo hbi, not to valence"),
+            (["check", "--seed", "3"], "seed applies only to simulate, hbi, demo hbi, not to check"),
+        ],
+        ids=["demo claim2", "valence", "check"],
+    )
+    def test_ignored_setting_no_longer_runs(self, capsys, argv, message):
+        # each of these used to exit 0 with a verdict that ignored the setting
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["demo"], ["valence", "claim2"]], ids=" ".join)
+    def test_demo_token_only_after_demo(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"unknown command {' '.join(argv)!r}" in captured.err
