@@ -38,6 +38,7 @@ from .seqspec import (
 )
 
 OP_CAP = 8  # most complete operations a history may hold for the search
+COUNT_CAP = 4096  # most candidates a counterexample counts per node
 
 
 class SizeLimitError(Exception):
@@ -73,8 +74,8 @@ def write_projection(entries: Sequence[LinEntry]) -> tuple:
 def linearizations(
     h: OpHistory,
     spec: SequentialSpec,
-    require_prefix: Sequence[LinEntry] = (),
-    write_prefix: Optional[Sequence[LinEntry]] = None,
+    pin: Sequence[LinEntry] = (),
+    mode: str = "strong",
 ) -> Iterator[Linearization]:
     """Yield every valid linearization of a completion of h.
 
@@ -84,52 +85,40 @@ def linearizations(
     from the replay must equal its recorded response; a pending
     operation's response is whatever the replay position dictates).
 
-    require_prefix pins the first entries exactly (strong-prefix search);
-    write_prefix instead pins the update subsequence (write-strong
-    search). Raises SizeLimitError when complete ops exceed OP_CAP.
+    pin fixes how a candidate starts: in "strong" mode its first
+    entries are exactly pin (strong-prefix search), in "write-strong"
+    mode its update subsequence starts with pin (write-strong search).
+    Raises SizeLimitError when complete ops exceed OP_CAP.
     """
     ops = h.ops
     complete_count = sum(1 for o in ops if o.complete)
     if complete_count > OP_CAP:
         raise SizeLimitError(f"{complete_count} complete ops exceeds cap {OP_CAP}")
 
-    preds: dict[int, frozenset] = {}
-    for b in ops:
-        before = frozenset(
-            a.op_id
-            for a in ops
-            if a.op_id != b.op_id and a.res_index is not None and a.res_index < b.inv_index
-        )
-        preds[b.op_id] = before
-
+    preds = {b.op_id: frozenset(a.op_id for a in ops if h.precedes(a, b)) for b in ops}
     order = sorted(ops, key=lambda o: (o.res_index if o.complete else 10**9, o.op_id))
     must_place = frozenset(o.op_id for o in ops if o.complete)
-    require_prefix = tuple(require_prefix)
-    wprefix = None if write_prefix is None else tuple(write_prefix)
+    pin = tuple(pin)
+    strong = mode == "strong"
 
-    def walk(placed: frozenset, state, seq: tuple, wcount: int) -> Iterator[Linearization]:
-        if must_place <= placed and len(seq) >= len(require_prefix):
-            if wprefix is None or wcount >= len(wprefix):
-                yield seq
+    # k counts the placed entries pin speaks about: every entry in strong
+    # mode, only the updates in write-strong mode
+    def walk(placed: frozenset, state, seq: tuple, k: int) -> Iterator[Linearization]:
+        if must_place <= placed and k >= len(pin):
+            yield seq
         for o in order:
             if o.op_id in placed or not preds[o.op_id] <= placed:
                 continue
             new_state, value = spec.apply(state, o.op)
             if o.complete and value != o.value:
                 continue
-            if len(seq) < len(require_prefix):
-                want = require_prefix[len(seq)]
+            counted = strong or o.op.name == "WRITE"
+            if counted and k < len(pin):
+                want = pin[k]
                 if want.op_id != o.op_id or want.value != value:
                     continue
-            nw = wcount
-            if o.op.name == "WRITE":
-                if wprefix is not None and wcount < len(wprefix):
-                    want = wprefix[wcount]
-                    if want.op_id != o.op_id or want.value != value:
-                        continue
-                nw = wcount + 1
             entry = LinEntry(o.op_id, o.op, value, o.process)
-            yield from walk(placed | {o.op_id}, new_state, seq + (entry,), nw)
+            yield from walk(placed | {o.op_id}, new_state, seq + (entry,), k + counted)
 
     yield from walk(frozenset(), spec.initial_state, (), 0)
 
@@ -271,12 +260,7 @@ def _search(
         key = (nid, constraint)
         if key in failed:
             return False
-        node = tree.nodes[nid]
-        if mode == "strong":
-            gen = linearizations(node.history, spec, require_prefix=constraint)
-        else:
-            gen = linearizations(node.history, spec, write_prefix=constraint)
-        for cand in gen:
+        for cand in linearizations(tree.nodes[nid].history, spec, constraint, mode):
             assignment[nid] = cand
             child_constraint = cand if mode == "strong" else write_projection(cand)
             if all(assign(c, child_constraint) for c in children(nid)):
@@ -290,11 +274,11 @@ def _search(
     return None
 
 
-def _count_candidates(node: TreeNode, spec: SequentialSpec, limit: int = 4096) -> int:
+def _count_candidates(node: TreeNode, spec: SequentialSpec) -> int:
     n = 0
     for _ in linearizations(node.history, spec):
         n += 1
-        if n >= limit:
+        if n >= COUNT_CAP:
             break
     return n
 

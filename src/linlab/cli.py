@@ -2,15 +2,17 @@
 
 Exit codes are uniform across subcommands: 0 when the checked property
 holds (or the requested artifact was built), 1 when a violation or
-counterexample was found (or a demo assertion failed), 2 on size limits
-and configuration errors. Reports are JSON with sorted keys, so the
-same invocation with the same seed produces byte-identical output.
+counterexample was found (or a demo assertion failed), 2 on size limits,
+configuration errors and unmet preconditions. Reports are JSON with
+sorted keys, so the same invocation with the same seed produces
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from typing import Optional
 
@@ -58,9 +60,17 @@ def _scenario(cfg):
             f"unknown protocol {cfg['protocol']!r}; known: {', '.join(sorted(PROTOCOLS))}"
         )
     try:
-        return build_scenario(cfg["protocol"], cfg["n"], seed=cfg["seed"])
+        return build_scenario(cfg["protocol"], cfg["n"])
     except PreconditionViolated as exc:  # n out of the protocol's range
         raise ConfigError(f"bad n for {cfg['protocol']}: {exc}") from None
+
+
+def _seed_rotation(scenario, seed: Optional[int]) -> None:
+    """--seed gives hbi the rotation range(n) shuffled by random.Random(seed)."""
+    if seed is not None:
+        order = list(range(scenario.n))
+        random.Random(seed).shuffle(order)
+        scenario.rotation = tuple(order)
 
 
 def _opt(cfg, name, default):
@@ -178,7 +188,7 @@ def cmd_explore(cfg) -> int:
     if spec is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no sequential object to audit")
     depth = _opt(cfg, "depth", 10)
-    mode = scenario.built.checker_mode or "strong"
+    mode = scenario.built.checker_mode
     triples = completed_implies_univalent_audit(
         scenario,
         depth,
@@ -209,6 +219,7 @@ def cmd_explore(cfg) -> int:
 
 def cmd_hbi(cfg) -> int:
     scenario = _scenario(cfg)
+    _seed_rotation(scenario, cfg["seed"])
     rounds = _opt(cfg, "rounds", 3)
     depth = _opt(cfg, "depth", 6)
     report = build_hbi(scenario, rounds, search_depth=depth)
@@ -312,7 +323,8 @@ def _demo_claim3(cfg, say) -> bool:
 
 
 def _demo_hbi(cfg, say) -> bool:
-    scenario = build_scenario("abd-tos", seed=cfg["seed"])
+    scenario = build_scenario("abd-tos")
+    _seed_rotation(scenario, cfg["seed"])
     rounds = _opt(cfg, "rounds", 3)
     report = build_hbi(scenario, rounds)
     say(
@@ -321,7 +333,8 @@ def _demo_hbi(cfg, say) -> bool:
     )
     if report.stuck is not None:
         say(f"stuck in round {report.stuck.round} at slot {report.stuck.slot}")
-    say("every scheduled process took a step each round; all traversed states bivalent")
+    else:
+        say("every scheduled process took a step each round; all traversed states bivalent")
     return (
         report.stuck is None
         and report.rounds_completed >= rounds
@@ -493,7 +506,7 @@ def main(argv=None) -> int:
         _refuse_unread(command if claim is None else f"{command} {claim}", cfg)
         cfg["protocol"] = _opt(cfg, "protocol", "naive-tos")
         return _COMMANDS[command](cfg)
-    except (ConfigError, SizeLimitError) as exc:
+    except (ConfigError, SizeLimitError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -154,7 +154,7 @@ def _fair_progress(scenario: Scenario, config, live, bound: int):
     return tuple(Step(p, m) for p, m in extension), False
 
 
-def _sweep(scenario: Scenario, depth: int, crash_choices, fair_bound: int):
+def _sweep(scenario: Scenario, depth: int, crash_choices):
     """Shared engine: for every reachable configuration and every crash
     choice with a surviving pending operation, demand fair progress.
 
@@ -175,22 +175,19 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, fair_bound: int):
             if not survivors:
                 continue
             live = [p for p in range(scenario.n) if p not in crashed]
-            stall = _fair_progress(scenario, config, live, fair_bound)
+            stall = _fair_progress(scenario, config, live, FAIR_BOUND)
             if stall is not None:
                 witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)
                 return False, witness, checked, True
     return True, None, checked, False
 
 
-def check_1rlf(
-    scenario: Scenario, depth: int = 8, fair_bound: Optional[int] = None
-) -> ProgressVerdict:
+def check_1rlf(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
     """Lock-freedom against at most one crash: from every reachable
     configuration, for every single crash (or none), the survivors'
     fair schedule completes some surviving pending operation."""
-    fair_bound = FAIR_BOUND if fair_bound is None else fair_bound
     choices = [frozenset()] + [frozenset({q}) for q in range(scenario.n)]
-    holds, witness, checked, truncated = _sweep(scenario, depth, choices, fair_bound)
+    holds, witness, checked, truncated = _sweep(scenario, depth, choices)
     return ProgressVerdict(
         condition="1-resilient lock-freedom",
         holds=holds,
@@ -201,17 +198,12 @@ def check_1rlf(
     )
 
 
-def check_nonblocking(
-    scenario: Scenario,
-    split: Optional[ClientServerSplit] = None,
-    depth: int = 8,
-    fair_bound: Optional[int] = None,
-) -> ProgressVerdict:
-    """Nonblocking against structured crash sets (see module docstring)."""
-    fair_bound = FAIR_BOUND if fair_bound is None else fair_bound
-    split = default_split(scenario) if split is None else split
+def check_nonblocking(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
+    """Nonblocking against structured crash sets (see module docstring),
+    with the scenario's clients and servers as the split."""
+    split = default_split(scenario)
     choices = split.allowed_crash_sets()
-    holds, witness, checked, truncated = _sweep(scenario, depth, choices, fair_bound)
+    holds, witness, checked, truncated = _sweep(scenario, depth, choices)
     return ProgressVerdict(
         condition="nonblocking",
         holds=holds,

@@ -452,12 +452,12 @@ class DriverProgram:
     decision_op: Optional[str]
 
 
-def make_driver_tos(protocol: ProtocolUnderTest, tester: int = 0, setter: int = 1) -> DriverProgram:
-    """One process tests, a different one sets, nothing else."""
+def make_driver_tos(protocol: ProtocolUnderTest) -> DriverProgram:
+    """Process 0 tests, process 1 sets, nothing else."""
     scripts = [() for _ in range(protocol.num_processes)]
-    scripts[tester] = (Invoke(TEST),)
-    scripts[setter] = (Invoke(SET),)
-    return DriverProgram(tuple(scripts), tester, "TEST")
+    scripts[0] = (Invoke(TEST),)
+    scripts[1] = (Invoke(SET),)
+    return DriverProgram(tuple(scripts), 0, "TEST")
 
 
 def make_driver_2w1r(protocol: ProtocolUnderTest) -> DriverProgram:
@@ -473,13 +473,11 @@ def make_driver_2w1r(protocol: ProtocolUnderTest) -> DriverProgram:
     return DriverProgram(tuple(scripts), 0, "READ")
 
 
-def make_driver_clients(
-    protocol: ProtocolUnderTest, clients: Sequence[int], op: Op = Op("OP")
-) -> DriverProgram:
-    """Each listed client invokes one operation; servers stay passive."""
+def make_driver_clients(protocol: ProtocolUnderTest) -> DriverProgram:
+    """Processes 0 and 1 invoke one operation each; the rest stay passive."""
     scripts = [() for _ in range(protocol.num_processes)]
-    for c in clients:
-        scripts[c] = (Invoke(op),)
+    scripts[0] = (Invoke(Op("OP")),)
+    scripts[1] = (Invoke(Op("OP")),)
     return DriverProgram(tuple(scripts), None, None)
 
 
@@ -584,59 +582,59 @@ class ScriptedSystem(ProtocolUnderTest):
         # lets apply_step recognise a step that changes nothing
         return Effect(state if new == state else new, tuple(sends), tuple(events))
 
-    def invoke(self, state: SysState, op: Op) -> Effect:
-        raise PreconditionViolated("scripted system drives its own invocations")
-
-    def has_pending_op(self, state: SysState) -> bool:
-        return self.inner.has_pending_op(state.impl)
-
 
 # --- registry ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BuiltProtocol:
-    """A ready-to-run system: composed automaton plus scenario metadata.
-
-    spec is the sequential object the history events speak (TOS_SPEC,
-    REG_SPEC, or None when there is no object to check), and
-    checker_mode says which tree checker is the interesting one for the
-    shipped driver program.
-    """
+    """A ready-to-run system and the sequential object its history
+    events speak (TOS_SPEC, REG_SPEC, or None when there is nothing to
+    check). The clients are the processes the driver gives a script,
+    the servers are the others, and checker_mode is the spec's checker."""
 
     system: ScriptedSystem
-    clients: tuple
-    servers: tuple
     spec: Optional[SequentialSpec] = None
-    checker_mode: Optional[str] = None
+
+    @property
+    def clients(self) -> tuple:
+        return tuple(p for p, script in enumerate(self.system.driver.scripts) if script)
+
+    @property
+    def servers(self) -> tuple:
+        return tuple(p for p, script in enumerate(self.system.driver.scripts) if not script)
+
+    @property
+    def checker_mode(self) -> Optional[str]:
+        return None if self.spec is None else self.spec.checker
 
 
 def _build_naive_tos(n: Optional[int]) -> BuiltProtocol:
     n = 2 if n is None else n
     inner = NaiveTosProtocol(n)
     system = ScriptedSystem(inner, make_driver_tos(inner), "naive-tos")
-    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), TOS_SPEC, "strong")
+    return BuiltProtocol(system, TOS_SPEC)
 
 
 def _build_abd_tos(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
     inner = RegisterToSAdapter(AbdRegisterProtocol(n, writers=(1,), reader=0))
     system = ScriptedSystem(inner, make_driver_tos(inner), "abd-tos")
-    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), TOS_SPEC, "strong")
+    return BuiltProtocol(system, TOS_SPEC)
 
 
 def _build_abd_reg(n: Optional[int]) -> BuiltProtocol:
     n = 3 if n is None else n
     inner = AbdRegisterProtocol(n, writers=(0, 1), reader=0)
     system = ScriptedSystem(inner, make_driver_2w1r(inner), "abd-reg")
-    return BuiltProtocol(system, (0, 1), tuple(range(2, n)), REG_SPEC, "write-strong")
+    return BuiltProtocol(system, REG_SPEC)
 
 
 def _build_trivial_ack(n: Optional[int]) -> BuiltProtocol:
     n = 4 if n is None else n
     inner = TrivialAckProtocol(n)
-    system = ScriptedSystem(inner, make_driver_clients(inner, clients=(0, 1)), "trivial-ack")
-    return BuiltProtocol(system, (0, 1), tuple(range(2, n)))
+    system = ScriptedSystem(inner, make_driver_clients(inner), "trivial-ack")
+    return BuiltProtocol(system)
 
 
 PROTOCOLS = {

@@ -196,54 +196,20 @@ class OpHistory:
         return True
 
 
-def op_history_from_json(records: Sequence[dict]) -> OpHistory:
-    """Inverse of OpHistory.to_json."""
-    events = []
-    for r in records:
-        text = r["op"]
-        if "(" in text:
-            name, rest = text.split("(", 1)
-            op = Op(name, int(rest.rstrip(")")))
-        else:
-            op = Op(text)
-        events.append(OperationEvent(r["kind"], op, r["process"], r["opId"], r["value"]))
-    return OpHistory(events)
-
-
 # --- sequential specifications -------------------------------------------
-
-
-def tos_apply(state: int, op: Op) -> tuple[int, Value]:
-    """Sequential test/set flag: state is the current bit.
-
-    TEST returns the bit and leaves it; SET raises it and returns done.
-    """
-    if op.name == "TEST":
-        return state, state
-    if op.name == "SET":
-        return 1, DONE
-    raise IllegalOp(f"test/set flag does not implement {op}")
-
-
-def reg_apply(state: int, op: Op) -> tuple[int, Value]:
-    """Sequential one-bit register: READ returns state, WRITE(v) installs v."""
-    if op.name == "READ":
-        return state, state
-    if op.name == "WRITE":
-        if op.arg not in (0, 1):
-            raise IllegalOp(f"register holds one bit, got {op}")
-        return op.arg, DONE
-    raise IllegalOp(f"register does not implement {op}")
 
 
 class SequentialSpec:
     """A sequential object: initial state, transition, response candidates.
 
     response_values(op) lists every value a pending op could legally
-    return in some completion of a history.
+    return in some completion of a history. checker names the tree
+    checker whose property the object is studied under: "strong" or
+    "write-strong".
     """
 
     name = "abstract"
+    checker: Optional[str] = None
     initial_state: Value = None
 
     def apply(self, state, op: Op) -> tuple[object, Value]:
@@ -254,13 +220,20 @@ class SequentialSpec:
 
 
 class ToSSpec(SequentialSpec):
-    """One-bit test/set flag, initially 0."""
+    """One-bit test/set flag, initially 0; its property is strong
+    linearizability."""
 
     name = "tos"
+    checker = "strong"
     initial_state = 0
 
     def apply(self, state, op: Op):
-        return tos_apply(state, op)
+        """TEST returns the bit and leaves it; SET raises it and returns done."""
+        if op.name == "TEST":
+            return state, state
+        if op.name == "SET":
+            return 1, DONE
+        raise IllegalOp(f"test/set flag does not implement {op}")
 
     def response_values(self, op: Op) -> tuple[Value, ...]:
         if op.name == "TEST":
@@ -271,13 +244,22 @@ class ToSSpec(SequentialSpec):
 
 
 class RegisterSpec(SequentialSpec):
-    """One-bit read/write register, initially 0."""
+    """One-bit read/write register, initially 0; its property is write
+    strong linearizability."""
 
     name = "register"
+    checker = "write-strong"
     initial_state = 0
 
     def apply(self, state, op: Op):
-        return reg_apply(state, op)
+        """READ returns the state; WRITE(v) installs v and returns done."""
+        if op.name == "READ":
+            return state, state
+        if op.name == "WRITE":
+            if op.arg not in (0, 1):
+                raise IllegalOp(f"register holds one bit, got {op}")
+            return op.arg, DONE
+        raise IllegalOp(f"register does not implement {op}")
 
     def response_values(self, op: Op) -> tuple[Value, ...]:
         if op.name == "READ":

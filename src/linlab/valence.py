@@ -24,13 +24,13 @@ On top of classification this module builds the adversarial machinery:
     still bivalent", and package each hit as a three-node history tree
     whose induced strategy check must come back negative.
 
-Everything here is deterministic: exploration orders are canonical and
-any randomness is confined to seeding the process rotation.
+Everything here is deterministic: exploration orders are canonical,
+and build_hbi's process rotation is given, not drawn (the command line
+draws it from --seed).
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,8 +77,6 @@ class Scenario:
     """A runnable experiment: protocol, driver, decision op, rotation."""
 
     built: BuiltProtocol
-    name: str
-    seed: Optional[int] = None
     rotation: Optional[tuple] = None
     _absolute: dict = field(default_factory=dict, repr=False, compare=False)
     _suffixes: dict = field(default_factory=dict, repr=False, compare=False)
@@ -86,6 +84,10 @@ class Scenario:
     @property
     def system(self):
         return self.built.system
+
+    @property
+    def name(self) -> str:
+        return self.built.system.name
 
     @property
     def n(self) -> int:
@@ -120,7 +122,7 @@ class Scenario:
 
 def build_scenario(protocol: str = "naive-tos", n: Optional[int] = None, **kw) -> Scenario:
     built = build_protocol(protocol, n)
-    return Scenario(built=built, name=protocol, **kw)
+    return Scenario(built=built, **kw)
 
 
 def completed_count(config: Configuration) -> int:
@@ -241,25 +243,14 @@ class FairRun:
     final: Configuration
 
 
-DECIDED, QUIESCENT, BOUND = "decided", "quiescent", "bound"
-
-
 class _Suffix(NamedTuple):
-    """How a finished fair run went on from one of its round boundaries:
-    the run, where the boundary sits in its history and in its final
-    event log, and how the run ended."""
+    """How a fair run that decided or went quiescent went on from one of
+    its round boundaries: the run, and where the boundary sits in its
+    history and in its final event log."""
 
     run: FairRun
     offset: int
     logged: int
-    ended: str
-
-    def fits(self, budget: int) -> bool:
-        """Would a run with `budget` steps left at this boundary take
-        exactly this suffix? A decided or quiescent suffix fits any
-        budget that covers it; one cut at the bound only its own."""
-        length = len(self.run.history) - self.offset
-        return length == budget if self.ended == BOUND else length <= budget
 
     def resume(self, history: list, current: Configuration) -> FairRun:
         """The whole run for a caller that reached this boundary at
@@ -281,11 +272,13 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
 
     The decision is read from the decider's state (SysState.decided).
     What happens after a round boundary depends only on the boundary's
-    core key, the live processes and the steps left, so every boundary
-    a run passes is remembered in the scenario's suffix memo. A later
-    run that reaches a remembered boundary with a budget the suffix
-    fits takes the suffix instead of stepping it again; the resumed
-    history, value, event log and core equal those of the stepped run.
+    core key and the live processes, as long as the steps left cover
+    it, so every boundary of a run that decided or went quiescent is
+    remembered in the scenario's suffix memo. A later run that reaches
+    a remembered boundary with at least the suffix's length left takes
+    the suffix instead of stepping it again; the resumed history,
+    value, event log and core equal those of the stepped run. A run cut
+    at the bound is not remembered.
     """
     system = scenario.system
     dp = scenario.decision_process
@@ -300,12 +293,11 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     history: list = []
     current = config
     run = None
-    ended = BOUND
     while len(history) < bound:
         key = (current.core_key(), live)
         hit = memo.get(key)
-        if hit is not None and hit.fits(bound - len(history)):
-            run, ended = hit.resume(history, current), hit.ended
+        if hit is not None and len(hit.run.history) - hit.offset <= bound - len(history):
+            run = hit.resume(history, current)
             break
         boundaries.append((key, len(history), len(current.events)))
         before = current
@@ -316,7 +308,7 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             history.append(tuple.__new__(Step, (p, m)))  # m is from inbox[p]
             v = nxt.states[p].decided if p == dp else None
             if v is not None:
-                run, ended = FairRun(tuple(history), v, nxt), DECIDED
+                run = FairRun(tuple(history), v, nxt)
                 break
             current = nxt
             if len(history) >= bound:
@@ -324,13 +316,12 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
         if run is not None:
             break
         if len(history) < bound and before.core_key() == current.core_key():
-            ended = QUIESCENT  # nothing will ever change again
+            run = FairRun(tuple(history), TIMEOUT, current)  # nothing will ever change again
             break
     if run is None:
-        run = FairRun(tuple(history), TIMEOUT, current)
+        return FairRun(tuple(history), TIMEOUT, current)
     for key, offset, logged in boundaries:
-        if ended != BOUND or key not in memo:
-            memo[key] = _Suffix(run, offset, logged, ended)
+        memo[key] = _Suffix(run, offset, logged)
     return run
 
 
@@ -671,12 +662,9 @@ def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiRepo
     if not start.is_bivalent:
         raise PreconditionViolated("initial configuration is not certified bivalent")
 
-    order = list(range(scenario.n)) if scenario.rotation is None else list(scenario.rotation)
-    if scenario.seed is not None:
-        random.Random(scenario.seed).shuffle(order)
-    rotation = tuple(order)
+    rotation = tuple(range(scenario.n) if scenario.rotation is None else scenario.rotation)
 
-    queue = deque(order)
+    queue = deque(rotation)
     history: list = []
     segments: list = []
     current = init
@@ -739,7 +727,7 @@ class AuditTriple:
     branch1: OpHistory
     completed: tuple  # op labels completed in the base
     depth: int
-    verdict: object = None  # checker result, populated when check=True
+    verdict: object = None  # the strategy checker's result on tree()
 
     def tree(self) -> ExecutionTree:
         return make_triple_tree(self.base, self.branch0, self.branch1)
@@ -752,14 +740,13 @@ def completed_implies_univalent_audit(
     checker_mode: str = "strong",
     max_triples: Optional[int] = None,
     order: str = "bfs",
-    check: bool = True,
 ) -> list:
     """Sweep reachable configurations for completed-yet-bivalent states.
 
     Every hit is packaged as the three-node tree {base, base+cert0,
-    base+cert1}; with check=True the matching strategy checker runs on
-    it (these trees admit no strategy when the audit works as intended,
-    and the verdict is recorded on the triple).
+    base+cert1}, and the checker named by checker_mode runs on it (these
+    trees admit no strategy when the audit works as intended, and the
+    verdict is recorded on the triple).
 
     order="completion-first" examines, within each depth, the classes
     that pair a completed operation with a pending one first, which
@@ -796,13 +783,12 @@ def completed_implies_univalent_audit(
                     completed=tuple(f"{o.op}#{o.op_id}" for o in base.complete_ops()),
                     depth=d,
                 )
-                if check:
-                    checker = (
-                        strong_linearization_exists
-                        if checker_mode == "strong"
-                        else write_strong_linearization_exists
-                    )
-                    triple.verdict = checker(triple.tree(), spec)
+                checker = (
+                    strong_linearization_exists
+                    if checker_mode == "strong"
+                    else write_strong_linearization_exists
+                )
+                triple.verdict = checker(triple.tree(), spec)
                 triples.append(triple)
                 if max_triples is not None and len(triples) >= max_triples:
                     return triples

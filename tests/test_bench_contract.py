@@ -4,13 +4,16 @@ bench/tracer.py wraps linlab functions and methods by name. A refactor
 that renames or moves one of them breaks traced benchmark runs, so this
 file installs the tracer (read from bench/, never edited), checks the
 count that bench/run.py's self-check relies on, and checks that
-uninstalling it puts every original back.
+uninstalling it puts every original back. It also binds every keyword
+bench/workloads.py passes, so that a sweep cannot drop one unseen.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import linlab
 import linlab.checkers
 import linlab.cli
 import linlab.progress
@@ -59,3 +62,22 @@ def test_install_traces_one_apply_step_per_fair_step_and_restores():
     after = bindings(tr)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_every_keyword_the_workloads_pass_still_binds():
+    built = linlab.build_protocol("abd-tos", 4)
+    calls = [
+        (valence.build_scenario, ("abd-tos",), {"n": 4}),
+        (valence.Scenario, (built,), {"rotation": (1, 2, 0)}),
+        (valence.completed_implies_univalent_audit, (None, 16, linlab.REG_SPEC),
+         {"checker_mode": "write-strong", "max_triples": 1, "order": "completion-first"}),
+        (linlab.checkers.brute_force_strategy_oracle, (None, linlab.TOS_SPEC),
+         {"mode": "strong"}),
+        (valence.build_hbi, (None,), {"rounds": 3}),
+        (linlab.progress.check_1rlf, (None,), {"depth": 8}),
+        (linlab.progress.check_nonblocking, (None,), {"depth": 8}),
+        (linlab.cli.main, (["demo", "claim3"],), {}),
+    ]
+    for fn, args, kw in calls:
+        inspect.signature(fn).bind(*args, **kw)  # raises TypeError if one is gone
+    assert built.system.num_processes == 4

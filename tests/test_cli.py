@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shapes, config handling."""
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -166,6 +167,26 @@ class TestHbiCommand:
         code, out = run_cli(capsys, "hbi", "--protocol", "naive-tos", "--rounds", "1")
         assert code == 1
         assert json.loads(out)["stuck"] is not None
+
+    def test_unmet_precondition_is_an_error_line(self, capsys):
+        # trivial-ack has no decision, so its initial configuration is not bivalent
+        code = main(["hbi", "--protocol", "trivial-ack"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: initial configuration is not certified bivalent\n"
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seed_shuffles_the_rotation(self, capsys, n, seed):
+        code, out = run_cli(
+            capsys, "hbi", "--protocol", "abd-tos", "--n", str(n),
+            "--seed", str(seed), "--rounds", "0",
+        )
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        assert code == 0
+        assert json.loads(out)["rotation"] == order
 
 
 class TestProgressCommand:
@@ -390,6 +411,19 @@ class TestDemo:
         code, out = run_cli(capsys, "demo", token)
         assert code == 0
         assert f"[{token}] PASS" in out
+
+    def test_hbi_claims_bivalence_only_when_not_stuck(self, capsys):
+        code, out = run_cli(capsys, "demo", "hbi")
+        assert code == 0
+        assert out == (
+            "abd-tos adversary: 3/3 rounds, 10 steps, 0 completed operations\n"
+            "every scheduled process took a step each round; all traversed states bivalent\n"
+            "[hbi] PASS\n"
+        )
+        code, out = run_cli(capsys, "demo", "hbi", "--seed", "1")
+        assert code == 1
+        assert "stuck in round 3 at slot 2" in out
+        assert "all traversed states bivalent" not in out
 
     def test_unknown_token_exits_two(self, capsys):
         # argparse rejects tokens outside the fixed choice list

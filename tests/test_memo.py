@@ -87,7 +87,7 @@ class TestSuffixMemo:
         warm = build_scenario(name)
         classify_valence(warm, warm.initial())
         completed_implies_univalent_audit(
-            warm, depth, spec, max_triples=1, order=order, check=False
+            warm, depth, spec, max_triples=1, order=order
         )
         probes = [lambda s, c: fair_completion(s, c)]
         for q in range(warm.n):

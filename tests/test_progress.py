@@ -217,13 +217,9 @@ class TestFairProgress:
         # at bound 1 the only round is cut after one step; the stall it
         # reports is the bound's, and the same run completes at FAIR_BOUND
         s = build_scenario("trivial-ack")
-        verdict = check_1rlf(s, depth=5, fair_bound=1)
-        w = verdict.witness
-        assert not verdict.holds and w is not None
-        assert w.extension_quiescent is False
-        assert verdict.to_json()["witness"]["extension_quiescent"] is False
-        base, _ = apply_history(s.initial(), w.base_history, s.system)
-        live = [p for p in range(s.n) if p not in w.crash_set]
+        base = apply_step(s.initial(), Step(0), s.system)  # process 0 invokes
+        live = range(s.n)
+        assert _fair_progress(s, base, live, 1) == ((Step(0),), False)
         assert _fair_progress(s, base, live, FAIR_BOUND) is None
 
     def test_a_round_that_sends_is_not_quiescent(self):

@@ -18,6 +18,7 @@ from linlab.protocols import (
     OPID_STRIDE,
     PROTOCOLS,
     AbdRegisterProtocol,
+    BuiltProtocol,
     DriverProgram,
     Invoke,
     RegisterToSAdapter,
@@ -28,7 +29,7 @@ from linlab.protocols import (
     make_driver_tos,
 )
 from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
-from linlab.valence import build_scenario, fair_completion
+from linlab.valence import Scenario, build_scenario, fair_completion
 
 
 def responses(config):
@@ -95,8 +96,7 @@ class TestAbdRegister:
             decision_op="READ",
         )
         system = ScriptedSystem(inner, driver, "solo-read")
-        s = build_scenario("abd-reg")  # only for fair-run plumbing
-        s = type(s)(built=type(s.built)(system, (0,), (1, 2)), name="solo-read")
+        s = Scenario(built=BuiltProtocol(system))
         run = fair_completion(s, s.initial())
         assert run.value == 0
 
@@ -112,8 +112,7 @@ class TestAbdRegister:
             decision_op="READ",
         )
         system = ScriptedSystem(inner, driver, "w1-then-read")
-        s = build_scenario("abd-reg")
-        s = type(s)(built=type(s.built)(system, (0, 1), (2,)), name="w1-then-read")
+        s = Scenario(built=BuiltProtocol(system))
         run = fair_completion(s, s.initial())
         assert run.value == 1
 
@@ -204,6 +203,16 @@ class TestDriverPrograms:
     def test_registry_rejects_unknown_name(self):
         with pytest.raises(KeyError):
             build_protocol("paxos")
+
+    @pytest.mark.parametrize(
+        "name,checker",
+        [("naive-tos", "strong"), ("abd-tos", "strong"),
+         ("abd-reg", "write-strong"), ("trivial-ack", None)],
+    )
+    def test_roles_come_from_the_driver_and_the_checker_from_the_spec(self, name, checker):
+        built = build_protocol(name, 5)
+        assert (built.clients, built.servers) == ((0, 1), (2, 3, 4))
+        assert built.checker_mode == checker
 
     def test_tos_driver_shape(self):
         inner = AbdRegisterProtocol(3, writers=(1,), reader=0)

@@ -244,7 +244,7 @@ class TestAudit:
         def audit(order):
             s = build_scenario("abd-tos")
             return s, completed_implies_univalent_audit(
-                s, 8, TOS_SPEC, order=order, check=False
+                s, 8, TOS_SPEC, order=order
             )
 
         s, bfs = audit("bfs")
