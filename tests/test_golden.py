@@ -4,7 +4,10 @@ Each case below has a file tests/golden/<case>.json holding its argv,
 its exit code and its stdout, compared byte for byte. The files were
 frozen before the step layer was memoized, progress-naive-tos-d4 before
 the breadth-first sweeps moved onto valence.reach (it is the one case
-where progress's truncation rule and classify's disagree). A change
+where progress's truncation rule and classify's disagree), and the
+check cases other than check-naive-tos-sl-d5 before the schedule tree
+shared one OpHistory between a node and a child that logged nothing. A
+change
 that alters any of them changes a verdict, a certificate or a schedule.
 Regenerate them
 only when such a change is intended, and say so in CHANGES.md:
@@ -39,6 +42,19 @@ CASES = {
     "check-naive-tos-sl-d5": ["check", "--protocol", "naive-tos", "--mode", "sl",
                               "--depth", "5"],
     "demo-claim3": ["demo", "claim3"],
+    "check-abd-reg-lin-d3": ["check", "--protocol", "abd-reg", "--mode", "lin",
+                             "--depth", "3"],
+    "check-abd-reg-wsl-d3": ["check", "--protocol", "abd-reg", "--mode", "wsl",
+                             "--depth", "3"],
+    "check-abd-tos-lin-d3": ["check", "--protocol", "abd-tos", "--mode", "lin",
+                             "--depth", "3"],
+    "check-abd-tos-wsl-d3": ["check", "--protocol", "abd-tos", "--mode", "wsl",
+                             "--depth", "3"],
+    "check-naive-tos-lin-d6": ["check", "--protocol", "naive-tos", "--mode", "lin",
+                               "--depth", "6"],
+    "check-naive-tos-wsl-d6": ["check", "--protocol", "naive-tos", "--mode", "wsl",
+                               "--depth", "6"],
+    "check-abd-tos-d4": ["check", "--protocol", "abd-tos", "--depth", "4"],
 }
 
 
