@@ -39,6 +39,7 @@ from .seqspec import (
 
 OP_CAP = 8  # most complete operations a history may hold for the search
 COUNT_CAP = 4096  # most candidates a counterexample counts per node
+_MODES = ("strong", "write-strong")  # the tree checkers' properties
 
 
 class SizeLimitError(Exception):
@@ -71,13 +72,37 @@ def write_projection(entries: Sequence[LinEntry]) -> tuple:
     return tuple(e for e in entries if e.op.name == "WRITE")
 
 
+class _Prepared(NamedTuple):
+    """What linearizations derives from a history alone, kept in the
+    history's _prepared slot (see OpHistory)."""
+
+    complete: int  # how many operations completed
+    preds: dict  # op_id -> op_ids of the operations that precede it
+    order: tuple  # complete ops by response position, pending ones after
+    must_place: frozenset  # op_ids every candidate places: the complete ones
+
+
+def _prepare(h: OpHistory) -> _Prepared:
+    prepared = h._prepared
+    if prepared is None:
+        ops = h.ops
+        must_place = frozenset(o.op_id for o in ops if o.complete)
+        prepared = h._prepared = _Prepared(
+            len(must_place),
+            {b.op_id: frozenset(a.op_id for a in ops if h.precedes(a, b)) for b in ops},
+            tuple(sorted(ops, key=lambda o: (o.res_index if o.complete else 10**9, o.op_id))),
+            must_place,
+        )
+    return prepared
+
+
 def linearizations(
     h: OpHistory,
     spec: SequentialSpec,
     pin: Sequence[LinEntry] = (),
     mode: str = "strong",
 ) -> Iterator[Linearization]:
-    """Yield every valid linearization of a completion of h.
+    """Iterate over every valid linearization of a completion of h.
 
     A candidate places all complete operations and any subset of the
     pending ones, in some order that respects real-time precedence, and
@@ -88,16 +113,15 @@ def linearizations(
     pin fixes how a candidate starts: in "strong" mode its first
     entries are exactly pin (strong-prefix search), in "write-strong"
     mode its update subsequence starts with pin (write-strong search).
-    Raises SizeLimitError when complete ops exceed OP_CAP.
+    Raises ValueError for any other mode, and SizeLimitError when
+    complete ops exceed OP_CAP, both at the call.
     """
-    ops = h.ops
-    complete_count = sum(1 for o in ops if o.complete)
-    if complete_count > OP_CAP:
-        raise SizeLimitError(f"{complete_count} complete ops exceeds cap {OP_CAP}")
-
-    preds = {b.op_id: frozenset(a.op_id for a in ops if h.precedes(a, b)) for b in ops}
-    order = sorted(ops, key=lambda o: (o.res_index if o.complete else 10**9, o.op_id))
-    must_place = frozenset(o.op_id for o in ops if o.complete)
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    prepared = _prepare(h)
+    if prepared.complete > OP_CAP:
+        raise SizeLimitError(f"{prepared.complete} complete ops exceeds cap {OP_CAP}")
+    preds, order, must_place = prepared.preds, prepared.order, prepared.must_place
     pin = tuple(pin)
     strong = mode == "strong"
 
@@ -120,7 +144,7 @@ def linearizations(
             entry = LinEntry(o.op_id, o.op, value, o.process)
             yield from walk(placed | {o.op_id}, new_state, seq + (entry,), k + counted)
 
-    yield from walk(frozenset(), spec.initial_state, (), 0)
+    return walk(frozenset(), spec.initial_state, (), 0)
 
 
 def is_linearizable(h: OpHistory, spec: SequentialSpec) -> Optional[Linearization]:
@@ -146,7 +170,9 @@ class ExecutionTree:
 
     Every child's event log must extend its parent's log; add_node
     enforces that, so holding an ExecutionTree is holding evidence of
-    prefix-closure.
+    prefix-closure. Nodes may share one OpHistory object: a child whose
+    step logged nothing holds its parent's, and add_node then has
+    nothing to check.
     """
 
     def __init__(self, root_history: OpHistory):
@@ -158,9 +184,11 @@ class ExecutionTree:
         return 0
 
     def add_node(self, history: OpHistory, parent: int) -> int:
-        pev = self.nodes[parent].history.events
-        if history.events[: len(pev)] != pev:
-            raise ValueError("child history must extend its parent's event log")
+        parent_history = self.nodes[parent].history
+        if history is not parent_history:
+            pev = parent_history.events
+            if history.events[: len(pev)] != pev:
+                raise ValueError("child history must extend its parent's event log")
         nid = self._next
         self._next += 1
         self.nodes[nid] = TreeNode(nid, parent, history)
@@ -364,7 +392,7 @@ def brute_force_strategy_oracle(
     outright with no memoization or incremental constraint threading.
     Returns a Strategy or None.
     """
-    if mode not in ("strong", "write-strong"):
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if len(tree.nodes) > node_limit:
         raise SizeLimitError(f"{len(tree.nodes)} nodes exceeds limit {node_limit}")

@@ -154,6 +154,8 @@ def cmd_check(cfg) -> int:
     if mode == "lin":
         for nid in tree.bfs_order():
             node = tree.nodes[nid]
+            if node.parent is not None and node.history is tree.nodes[node.parent].history:
+                continue  # the parent's own history, judged before it in BFS order
             if is_linearizable(node.history, spec) is None:
                 report["result"] = "violation"
                 report["node"] = nid

@@ -328,7 +328,7 @@ def trace_records(
                 "process": step.process,
                 "message_uid": None if step.received is None else step.received.uid,
                 "events_emitted": [ev.to_json() for ev in emitted],
-                "buffer_size": len(nxt.buffer),
+                "buffer_size": sum(map(len, nxt.inbox)),
             }
         )
         current = nxt

@@ -29,6 +29,7 @@ signals (the "OK" handshake) are ordinary buffered messages.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -481,21 +482,33 @@ def make_driver_clients(protocol: ProtocolUnderTest) -> DriverProgram:
     return DriverProgram(tuple(scripts), None, None)
 
 
-@dataclass(frozen=True)
+_CANONICAL = weakref.WeakValueDictionary()  # field values -> the live SysState with them
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SysState:
+    """A process's local state in a ScriptedSystem, hash-consed: while a
+    SysState with given field values lives, constructing one with equal
+    values returns that same object. So equal states are one object,
+    and equality and hashing are identity's, which run in C; every memo
+    lookup and core-key probe hashes whole states tuples. The table
+    holds its objects weakly, so a state lives no longer than the
+    configurations and memos that hold it."""
+
     pc: int
     flags: frozenset  # driver tags received so far
     impl: object
     decided: Optional[int] = None  # what the driver's decision op returned here
 
-    # hashed once: every memo lookup and vkey probe hashes the whole state
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.pc, self.flags, self.impl, self.decided))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, pc: int, flags: frozenset, impl, decided: Optional[int] = None):
+        key = (pc, flags, impl, decided)
+        state = _CANONICAL.get(key)
+        if state is None:
+            state = object.__new__(cls)
+            for name, value in zip(("pc", "flags", "impl", "decided"), key):
+                object.__setattr__(state, name, value)
+            _CANONICAL[key] = state
+        return state
 
 
 class ScriptedSystem(ProtocolUnderTest):
@@ -577,10 +590,10 @@ class ScriptedSystem(ProtocolUnderTest):
             if (ev.kind == RESPONSE and ev.process == driver.decision_process
                     and ev.op.name == driver.decision_op):
                 decided = ev.value
-        new = SysState(pc, flags, impl, decided)
-        # an unchanged state is handed back as the same object, which
-        # lets apply_step recognise a step that changes nothing
-        return Effect(state if new == state else new, tuple(sends), tuple(events))
+        # an unchanged state comes back as the same object (SysState is
+        # hash-consed), which lets apply_step recognise a step that
+        # changes nothing
+        return Effect(SysState(pc, flags, impl, decided), tuple(sends), tuple(events))
 
 
 # --- registry ---------------------------------------------------------------

@@ -112,13 +112,18 @@ class OpHistory:
     Well-formedness: every response is preceded by the matching invocation
     (same op_id, op, and process), op_ids are not reused, and each process
     has at most one operation pending at a time.
+
+    A history is immutable, so what the checkers derive from it alone
+    (checkers.linearizations' precedence table and placement order) is
+    kept in `_prepared`, filled on first use.
     """
 
-    __slots__ = ("events", "_ops")
+    __slots__ = ("events", "_ops", "_prepared")
 
     def __init__(self, events: Sequence[OperationEvent] = ()):
         self.events = tuple(events)
         self._ops = self._collect()
+        self._prepared = None
 
     def _collect(self) -> tuple[OpInstance, ...]:
         open_by_process: dict[int, int] = {}

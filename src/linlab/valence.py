@@ -53,7 +53,6 @@ from .model import (
     apply_history,
     apply_step,
     applicable,
-    enabled_steps,
     initial_configuration,
 )
 from .protocols import BuiltProtocol, build_protocol
@@ -217,13 +216,13 @@ def reach(
                         if keep:
                             shared.append(step)
                         continue
-                    key = child.core_key()
                     expandable = not (stop and child.states[dp].decided is not None)
-                    if key in seen:
+                    size = len(seen)
+                    seen.add(child.core_key())  # one hash: a hit leaves seen's size as it was
+                    if len(seen) == size:
                         if keep and expandable:
                             shared.append(step)
                         continue
-                    seen.add(key)
                     # m came from inbox[p], so Step's receiver check cannot fail
                     child_hist = hist + (tuple.__new__(Step, (p, m)),)
                     yield child, child_hist, d
@@ -823,7 +822,9 @@ def explore_history_tree(
 
     No deduplication: distinct schedules are distinct nodes, which is
     exactly what the strategy checkers quantify over. Guarded by
-    max_nodes since the tree is exponential in depth.
+    max_nodes since the tree is exponential in depth. Steps go by their
+    index in the inbox, in enabled-step order. A child whose step logged
+    nothing holds its parent's OpHistory object, so nodes may share one.
     """
     system = scenario.system
     init = scenario.initial()
@@ -834,14 +835,15 @@ def explore_history_tree(
         cfg, nid, d = frontier.popleft()
         if d >= depth:
             continue
-        for p in range(scenario.n):
-            for step in enabled_steps(cfg, p):
-                nxt = apply_step(cfg, step, system)
+        history = tree.nodes[nid].history
+        for p, row in enumerate(cfg.inbox):
+            for j, m in enumerate((None,) + row, -1):
+                nxt = apply_step(cfg, (p, m), system, j)
                 count += 1
                 if count > max_nodes:
                     raise SizeLimitError(
                         f"history tree exceeds {max_nodes} nodes at depth {d + 1}"
                     )
-                cid = tree.add_node(OpHistory(nxt.events), nid)
-                frontier.append((nxt, cid, d + 1))
+                child = history if nxt.events is cfg.events else OpHistory(nxt.events)
+                frontier.append((nxt, tree.add_node(child, nid), d + 1))
     return tree

@@ -82,6 +82,21 @@ class TestLinearizations:
         assert list(linearizations(SET_DONE_TEST0, TOS_SPEC)) == []
         assert is_linearizable(SET_DONE_TEST0, TOS_SPEC) is None
 
+    def test_unknown_mode_is_refused(self):
+        for mode in ("sl", "wsl", "Strong"):
+            with pytest.raises(ValueError):
+                linearizations(SET_DONE, TOS_SPEC, mode=mode)
+
+    def test_a_prepared_history_gives_the_same_candidates(self):
+        h = H(inv(TEST, 0, 0), inv(SET, 1, 16), res(SET, 1, 16, DONE))
+        first = list(linearizations(h, TOS_SPEC))
+        assert list(linearizations(h, TOS_SPEC)) == first
+        assert list(linearizations(H(*h.events), TOS_SPEC)) == first
+        pin = first[0][:1]
+        for mode in ("strong", "write-strong"):
+            assert list(linearizations(h, TOS_SPEC, pin, mode)) == list(
+                linearizations(H(*h.events), TOS_SPEC, pin, mode))
+
     def test_linearization_replays_as_sequential_history(self):
         cand = is_linearizable(SET_DONE_TEST1, TOS_SPEC)
         assert cand is not None
@@ -243,6 +258,13 @@ class TestOpCap:
             is_linearizable(h, REG_SPEC)
         with pytest.raises(SizeLimitError):
             strong_linearization_exists(ExecutionTree(h), REG_SPEC)
+
+    def test_refusal_repeats_once_the_history_is_prepared(self):
+        h = sequential_reads(9)
+        for _ in range(2):
+            with pytest.raises(SizeLimitError):
+                linearizations(h, REG_SPEC)
+            assert h._prepared is not None
 
     def test_eight_complete_ops_are_searched(self):
         h = sequential_reads(8)

@@ -1,9 +1,10 @@
 """Configuration keys: payloads are part of message identity, and
-SysState hashes are cached.
+equal SysStates are one object.
 
 A configuration's core key is (states, inbox, channels). The inbox is a
 key in its own right because a Message compares by (seq, sender,
-receiver, payload).
+receiver, payload). A SysState is hash-consed, so the states tuple
+compares and hashes by identity, and identity is equality.
 """
 
 import dataclasses
@@ -41,25 +42,39 @@ def test_forged_payload_step_is_not_applicable():
 
 class TestSysStateHash:
     def test_equal_states_hash_equal(self):
-        s = build_scenario("abd-tos")
-        a = s.system.init_state(0)
-        b = s.system.init_state(0)
-        assert a is not b
-        assert a == b and hash(a) == hash(b)
-
-    def test_hash_is_the_field_tuple_hash(self):
         s = build_scenario("abd-reg")
-        _, hist = random_walk(s, random.Random(2), 12)
-        final, _ = apply_history(s.initial(), hist, s.system)
-        for state in final.states:
-            assert hash(state) == hash((state.pc, state.flags, state.impl, state.decided))
+        rng = random.Random(2)
+        finals = []
+        for _ in range(8):
+            _, hist = random_walk(s, rng, 12)
+            finals.append(apply_history(s.initial(), hist, s.system)[0])
+        states = [state for final in finals for state in final.states]
+        for a in states:
+            for b in states:
+                assert (a == b) == (a is b)
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert s.system.init_state(0) is s.system.init_state(0)
+
+    def test_equal_fields_are_one_object_across_scenarios(self):
+        one, two = build_scenario("abd-tos"), build_scenario("abd-tos")
+        assert one.system is not two.system
+        assert one.system.init_state(1) is two.system.init_state(1)
+        _, hist = random_walk(one, random.Random(5), 15)
+        a, _ = apply_history(one.initial(), hist, one.system)
+        b, _ = apply_history(two.initial(), hist, two.system)
+        assert all(x is y for x, y in zip(a.states, b.states))
+        state = a.states[0]
+        impl = dataclasses.replace(state.impl)  # equal, but another object
+        assert impl is not state.impl
+        assert SysState(state.pc, frozenset(list(state.flags)), impl, state.decided) is state
 
     def test_replace_keeps_the_hash_consistent(self):
         state = build_scenario("naive-tos").system.init_state(1)
         moved = dataclasses.replace(state, pc=state.pc + 1, flags=frozenset({"OK"}), decided=1)
-        assert hash(moved) == hash((moved.pc, moved.flags, moved.impl, moved.decided))
+        assert moved is not state and moved != state
         back = dataclasses.replace(moved, pc=state.pc, flags=state.flags, decided=None)
-        assert back == state and hash(back) == hash(state)
+        assert back is state and hash(back) == hash(state)
 
     def test_equality_compares_fields_only(self):
         state = build_scenario("naive-tos").system.init_state(0)

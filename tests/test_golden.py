@@ -7,10 +7,9 @@ the breadth-first sweeps moved onto valence.reach (it is the one case
 where progress's truncation rule and classify's disagree), and the
 check cases other than check-naive-tos-sl-d5 before the schedule tree
 shared one OpHistory between a node and a child that logged nothing. A
-change
-that alters any of them changes a verdict, a certificate or a schedule.
-Regenerate them
-only when such a change is intended, and say so in CHANGES.md:
+change that alters any of them changes a verdict, a certificate or a
+schedule. Regenerate them only when such a change is intended, and say
+so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """

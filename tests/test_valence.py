@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linlab.checkers import Counterexample, SizeLimitError
+from linlab.checkers import (
+    Counterexample,
+    ExecutionTree,
+    SizeLimitError,
+    is_linearizable,
+    strong_linearization_exists,
+    write_strong_linearization_exists,
+)
 from linlab.model import PreconditionViolated, Step, apply_history, apply_step, enabled_steps
-from linlab.seqspec import REG_SPEC, RESPONSE, TOS_SPEC
+from linlab.seqspec import REG_SPEC, RESPONSE, TOS_SPEC, OpHistory
 from linlab.valence import (
     TIMEOUT,
     ValenceTag,
@@ -294,6 +301,42 @@ class TestExploreHistoryTree:
         s = build_scenario("abd-reg")
         with pytest.raises(SizeLimitError):
             explore_history_tree(s, depth=6, max_nodes=10)
+
+    @pytest.mark.parametrize("name, depth", [
+        ("naive-tos", 4), ("naive-tos", 5), ("naive-tos", 6), ("abd-tos", 3), ("abd-reg", 3)])
+    def test_shared_histories_match_a_fresh_history_per_node(self, name, depth):
+        s = build_scenario(name)
+        spec = s.built.spec
+        tree = explore_history_tree(s, depth)
+        ref = fresh_history_tree(s, depth)
+        assert tree.bfs_order() == ref.bfs_order()
+        for nid, node in tree.nodes.items():
+            assert node.parent == ref.nodes[nid].parent
+            assert node.children == ref.nodes[nid].children
+            assert node.history == ref.nodes[nid].history
+            if node.parent is not None:
+                parent = tree.nodes[node.parent].history
+                logged = len(node.history) > len(parent)
+                assert (node.history is parent) == (not logged)
+            assert is_linearizable(node.history, spec) == is_linearizable(
+                ref.nodes[nid].history, spec)
+        for checker in (strong_linearization_exists, write_strong_linearization_exists):
+            assert checker(tree, spec).to_json() == checker(ref, spec).to_json()
+
+
+def fresh_history_tree(s, depth):
+    """explore_history_tree built independently: a new OpHistory for
+    every node, steps taken from enabled_steps."""
+    init = s.initial()
+    tree = ExecutionTree(OpHistory(init.events))
+    frontier = [(init, tree.root, 0)]
+    for cfg, nid, d in frontier:  # grows while iterated: breadth-first
+        if d < depth:
+            for p in range(s.n):
+                for step in enabled_steps(cfg, p):
+                    nxt = apply_step(cfg, step, s.system)
+                    frontier.append((nxt, tree.add_node(OpHistory(nxt.events), nid), d + 1))
+    return tree
 
 
 class TestScenarioPlumbing:
