@@ -28,13 +28,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .seqspec import (
-    OperationEvent,
     OpHistory,
     SequentialSpec,
     Op,
     Value,
-    inv,
-    res,
 )
 
 OP_CAP = 8  # most complete operations a history may hold for the search
@@ -56,15 +53,6 @@ class LinEntry(NamedTuple):
 
 
 Linearization = tuple  # tuple[LinEntry, ...]
-
-
-def linearization_as_history(entries: Sequence[LinEntry]) -> OpHistory:
-    """Render a linearization as a sequential invocation/response history."""
-    events: list[OperationEvent] = []
-    for e in entries:
-        events.append(inv(e.op, e.process, e.op_id))
-        events.append(res(e.op, e.process, e.op_id, e.value))
-    return OpHistory(events)
 
 
 def write_projection(entries: Sequence[LinEntry]) -> tuple:
@@ -170,9 +158,8 @@ class ExecutionTree:
 
     Every child's event log must extend its parent's log; add_node
     enforces that, so holding an ExecutionTree is holding evidence of
-    prefix-closure. Nodes may share one OpHistory object: a child whose
-    step logged nothing holds its parent's, and add_node then has
-    nothing to check.
+    prefix-closure. Nodes may share one OpHistory object; add_node has
+    nothing to check for a child that holds its parent's.
     """
 
     def __init__(self, root_history: OpHistory):

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .checkers import SizeLimitError, is_linearizable
 from .model import PreconditionViolated, Step, apply_step, trace_records
-from .progress import check_1rlf, check_nonblocking, default_split, implication_audit
+from .progress import check_1rlf, check_nonblocking, implication, implication_audit
 from .protocols import PROTOCOLS
 from .valence import (
     FAIR_BOUND,
@@ -101,7 +101,9 @@ def cmd_simulate(cfg) -> int:
     ]
     schedule = cfg.get("schedule")
     if schedule is not None:
-        history = _resolve_schedule(scenario, init, schedule)
+        if cfg["depth"] is not None:
+            raise ConfigError("depth bounds the fair schedule; it does not apply beside schedule")
+        history = _resolve_schedule(scenario, init, schedule, crash)
     else:
         bound = _opt(cfg, "depth", FAIR_BOUND)
         run = fair_completion(scenario, init, crashed=cfg["crash"], bound=bound)
@@ -114,8 +116,9 @@ def cmd_simulate(cfg) -> int:
     return 0
 
 
-def _resolve_schedule(scenario, init, schedule):
-    """Replay a schedule given as [{process, message_uid}] records."""
+def _resolve_schedule(scenario, init, schedule, crashed):
+    """Replay a schedule given as [{process, message_uid}] records, in
+    which the crashed process, if any, takes no step."""
     if not isinstance(schedule, list) or not all(isinstance(e, dict) for e in schedule):
         raise ConfigError("schedule must be a list of {process, message_uid} objects")
     current = init
@@ -125,6 +128,8 @@ def _resolve_schedule(scenario, init, schedule):
         uid = entry.get("message_uid")
         if type(p) is not int or not 0 <= p < scenario.n:
             raise ConfigError(f"schedule[{i}]: bad process {p!r}")
+        if p == crashed:
+            raise ConfigError(f"schedule[{i}]: process {p} is crashed")
         if uid is not None and type(uid) is not int:
             raise ConfigError(f"schedule[{i}]: bad message_uid {uid!r}")
         received = None
@@ -152,10 +157,12 @@ def cmd_check(cfg) -> int:
 
     report = {"mode": mode, "depth": depth, "nodes": len(tree.nodes)}
     if mode == "lin":
+        judged = set()  # ids of the history objects judged so far
         for nid in tree.bfs_order():
             node = tree.nodes[nid]
-            if node.parent is not None and node.history is tree.nodes[node.parent].history:
-                continue  # the parent's own history, judged before it in BFS order
+            if id(node.history) in judged:
+                continue  # judged at an earlier node in BFS order
+            judged.add(id(node.history))
             if is_linearizable(node.history, spec) is None:
                 report["result"] = "violation"
                 report["node"] = nid
@@ -234,13 +241,11 @@ def cmd_progress(cfg) -> int:
     depth = _opt(cfg, "depth", 6)
     one = check_1rlf(scenario, depth=depth)
     nb = check_nonblocking(scenario, depth=depth)
-    split = default_split(scenario)
     report = {
         "protocol": cfg["protocol"],
         "one_rlf": one.to_json(),
         "nonblocking": nb.to_json(),
-        "implication_applies": split.c >= 2,
-        "implication_violated": bool(split.c >= 2 and nb.holds and not one.holds),
+        **implication(scenario, one, nb),
     }
     _emit(_json(report), cfg["out"])
     return 0 if one.holds and nb.holds else 1

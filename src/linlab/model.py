@@ -25,9 +25,10 @@ still return a new, equal configuration.
 
 Message identity is (seq, sender, receiver, payload) where seq counts
 sends per directed channel; identity therefore does not depend on the
-order in which steps of distinct processes are applied, which is what
-makes the commutation check meaningful. Since identity includes the
-payload, two buffers are equal only if they carry the same payloads.
+order in which steps of distinct processes are applied, so two orders
+of such steps can be compared message for message. Since identity
+includes the payload, two buffers are equal only if they carry the same
+payloads.
 
 Steps of distinct processes commute. Each reads and writes only its own
 process's state and channel row, and consumes a message addressed to
@@ -90,10 +91,6 @@ class Message(NamedTuple):
         # order-embedding into ints: ascending uid == ascending (seq, sender, receiver)
         return (self.seq * UID_RADIX + self.sender) * UID_RADIX + self.receiver
 
-    def sort_key(self) -> tuple[int, int]:
-        # delivery order within one receiver's view: oldest first, sender id breaking ties
-        return (self.seq, self.sender)
-
     def __repr__(self) -> str:
         return f"<{self.sender}->{self.receiver} #{self.seq} {self.payload!r}>"
 
@@ -147,12 +144,6 @@ class Configuration(NamedTuple):
     inbox: tuple  # tuple[tuple[Message, ...], ...], one row per receiver
     events: tuple  # tuple[OperationEvent]
     channels: tuple  # tuple[tuple[int, ...], ...]
-
-    @property
-    def buffer(self) -> frozenset:
-        """Every buffered message, as a set. Built on each call: for
-        reports and audits, not for hot paths."""
-        return frozenset(m for row in self.inbox for m in row)
 
     def core_key(self) -> tuple:
         """The forward-behavior core as a hashable value: states, inboxes
@@ -282,37 +273,6 @@ def enabled_steps(config: Configuration, process: int) -> tuple[Step, ...]:
     return (Step(process, None),) + tuple(Step(process, m) for m in config.inbox[process])
 
 
-def events_equal_mod_interleaving(c1: Configuration, c2: Configuration) -> bool:
-    """Event logs agree per process (global interleaving may differ)."""
-    procs = set(ev.process for ev in c1.events) | set(ev.process for ev in c2.events)
-    for p in procs:
-        e1 = tuple(ev for ev in c1.events if ev.process == p)
-        e2 = tuple(ev for ev in c2.events if ev.process == p)
-        if e1 != e2:
-            return False
-    return True
-
-
-def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
-    """Do e1 and e2 (distinct processes) commute at config?
-
-    True iff applying them in either order yields the same core key
-    (states, inboxes with payloads, channels), with event logs equal up
-    to the interleaving of the two processes' events.
-    Both orders must be applicable.
-    """
-    if e1.process == e2.process:
-        raise PreconditionViolated("commute_check needs steps of distinct processes")
-    if not applicable(config, e1) or not applicable(config, e2):
-        raise PreconditionViolated("both steps must be applicable to the configuration")
-    c12 = apply_step(apply_step(config, e1, protocol), e2, protocol)
-    c21 = apply_step(apply_step(config, e2, protocol), e1, protocol)
-    return (
-        c12.core_key() == c21.core_key()
-        and events_equal_mod_interleaving(c12, c21)
-    )
-
-
 def trace_records(
     initial: Configuration, history: Sequence[Step], protocol
 ) -> list[dict]:
@@ -333,19 +293,3 @@ def trace_records(
         )
         current = nxt
     return records
-
-
-def audit_buffer_conservation(
-    initial: Configuration, history: Sequence[Step], protocol
-) -> bool:
-    """Replay and check sends == receipts + final buffer, as multisets."""
-    sent: set[Message] = set(initial.buffer)
-    received: set[Message] = set()
-    current = initial
-    for step in history:
-        nxt = apply_step(current, step, protocol)
-        if step.received is not None:
-            received.add(step.received)
-        sent |= nxt.buffer - current.buffer
-        current = nxt
-    return sent - received == current.buffer and received <= sent

@@ -221,26 +221,32 @@ def check_nonblocking(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
     )
 
 
-def implication_audit(depth: int = 6) -> list:
+def implication(scenario: Scenario, one: ProgressVerdict, nb: ProgressVerdict) -> dict:
     """Nonblocking implies 1-resilient lock-freedom whenever there are
     at least two clients (single crashes are then allowed crash sets).
-    Audits every registered protocol and reports any counterexample to
-    the implication, which a sound model should never produce."""
+    Says whether that applies to scenario, and whether its verdicts
+    one (1-resilient lock-freedom) and nb (nonblocking) violate it."""
+    applies = default_split(scenario).c >= 2
+    return {
+        "implication_applies": applies,
+        "implication_violated": bool(applies and nb.holds and not one.holds),
+    }
+
+
+def implication_audit(depth: int = 6) -> list:
+    """Audits every registered protocol and reports any counterexample
+    to the implication, which a sound model should never produce."""
     rows = []
     for name in sorted(PROTOCOLS):
         scenario = build_scenario(name)
         one = check_1rlf(scenario, depth=depth)
         nb = check_nonblocking(scenario, depth=depth)
-        implication_applies = default_split(scenario).c >= 2
         rows.append(
             {
                 "protocol": name,
                 "one_rlf": one.holds,
                 "nonblocking": nb.holds,
-                "implication_applies": implication_applies,
-                "implication_violated": bool(
-                    implication_applies and nb.holds and not one.holds
-                ),
+                **implication(scenario, one, nb),
             }
         )
     return rows

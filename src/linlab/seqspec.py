@@ -190,27 +190,15 @@ class OpHistory:
     def to_json(self) -> list[dict]:
         return [ev.to_json() for ev in self.events]
 
-    def is_sequential(self) -> bool:
-        """True when events strictly alternate inv,res per single op."""
-        if len(self.events) % 2:
-            return False
-        for i in range(0, len(self.events), 2):
-            a, b = self.events[i], self.events[i + 1]
-            if a.kind != INVOCATION or b.kind != RESPONSE or a.op_id != b.op_id:
-                return False
-        return True
-
 
 # --- sequential specifications -------------------------------------------
 
 
 class SequentialSpec:
-    """A sequential object: initial state, transition, response candidates.
+    """A sequential object: initial state and transition.
 
-    response_values(op) lists every value a pending op could legally
-    return in some completion of a history. checker names the tree
-    checker whose property the object is studied under: "strong" or
-    "write-strong".
+    checker names the tree checker whose property the object is studied
+    under: "strong" or "write-strong".
     """
 
     name = "abstract"
@@ -218,9 +206,6 @@ class SequentialSpec:
     initial_state: Value = None
 
     def apply(self, state, op: Op) -> tuple[object, Value]:
-        raise NotImplementedError
-
-    def response_values(self, op: Op) -> tuple[Value, ...]:
         raise NotImplementedError
 
 
@@ -240,13 +225,6 @@ class ToSSpec(SequentialSpec):
             return 1, DONE
         raise IllegalOp(f"test/set flag does not implement {op}")
 
-    def response_values(self, op: Op) -> tuple[Value, ...]:
-        if op.name == "TEST":
-            return (0, 1)
-        if op.name == "SET":
-            return (DONE,)
-        raise IllegalOp(f"test/set flag does not implement {op}")
-
 
 class RegisterSpec(SequentialSpec):
     """One-bit read/write register, initially 0; its property is write
@@ -264,13 +242,6 @@ class RegisterSpec(SequentialSpec):
             if op.arg not in (0, 1):
                 raise IllegalOp(f"register holds one bit, got {op}")
             return op.arg, DONE
-        raise IllegalOp(f"register does not implement {op}")
-
-    def response_values(self, op: Op) -> tuple[Value, ...]:
-        if op.name == "READ":
-            return (0, 1)
-        if op.name == "WRITE":
-            return (DONE,)
         raise IllegalOp(f"register does not implement {op}")
 
 

@@ -823,12 +823,13 @@ def explore_history_tree(
     No deduplication: distinct schedules are distinct nodes, which is
     exactly what the strategy checkers quantify over. Guarded by
     max_nodes since the tree is exponential in depth. Steps go by their
-    index in the inbox, in enabled-step order. A child whose step logged
-    nothing holds its parent's OpHistory object, so nodes may share one.
+    index in the inbox, in enabled-step order. Nodes with equal event
+    logs hold one OpHistory object.
     """
     system = scenario.system
     init = scenario.initial()
     tree = ExecutionTree(OpHistory(init.events))
+    histories = {init.events: tree.nodes[0].history}  # event log -> its one OpHistory
     frontier = deque([(init, 0, 0)])
     count = 1
     while frontier:
@@ -844,6 +845,8 @@ def explore_history_tree(
                     raise SizeLimitError(
                         f"history tree exceeds {max_nodes} nodes at depth {d + 1}"
                     )
-                child = history if nxt.events is cfg.events else OpHistory(nxt.events)
+                child = history if nxt.events is cfg.events else histories.get(nxt.events)
+                if child is None:
+                    child = histories[nxt.events] = OpHistory(nxt.events)
                 frontier.append((nxt, tree.add_node(child, nid), d + 1))
     return tree

@@ -1,11 +1,35 @@
-"""Shared test helpers: random protocol runs and the permutation oracle."""
+"""Shared test helpers: random protocol runs and the reference oracles.
+
+The oracles are plain brute-force references. The permutation oracle
+re-decides linearizability apart from the checkers; the commutation and
+buffer-conservation oracles check model facts the library relies on but
+never computes: steps of distinct processes commute (the sleep sets in
+valence.reach), and every sent message is received or still buffered.
+"""
 
 import itertools
 import random
+from typing import Sequence
 
-from linlab.model import apply_step, enabled_steps
-from linlab.seqspec import IllegalOp
+from linlab.model import (
+    Configuration,
+    Message,
+    PreconditionViolated,
+    Step,
+    applicable,
+    apply_step,
+    enabled_steps,
+)
+from linlab.seqspec import DONE, IllegalOp
 from linlab.valence import Scenario, build_scenario
+
+# every value a pending operation could return in some completion, by name
+RESPONSE_VALUES = {"TEST": (0, 1), "SET": (DONE,), "READ": (0, 1), "WRITE": (DONE,)}
+
+
+def buffer(config: Configuration) -> frozenset:
+    """Every buffered message of config, as a set."""
+    return frozenset(m for row in config.inbox for m in row)
 
 
 def perm_linearizable(h, spec):
@@ -16,7 +40,7 @@ def perm_linearizable(h, spec):
     through the sequential spec with the recorded response values.
     """
     pending = sorted(h.pending_ops(), key=lambda o: o.op_id)
-    choice_sets = [(None,) + spec.response_values(o.op) for o in pending]
+    choice_sets = [(None,) + RESPONSE_VALUES[o.op.name] for o in pending]
     for assignment in itertools.product(*choice_sets):
         ops = list(h.complete_ops())
         values = {o.op_id: o.value for o in ops}
@@ -51,6 +75,53 @@ def perm_linearizable(h, spec):
             if ok:
                 return True
     return False
+
+
+def events_equal_mod_interleaving(c1: Configuration, c2: Configuration) -> bool:
+    """Event logs agree per process (global interleaving may differ)."""
+    procs = set(ev.process for ev in c1.events) | set(ev.process for ev in c2.events)
+    for p in procs:
+        e1 = tuple(ev for ev in c1.events if ev.process == p)
+        e2 = tuple(ev for ev in c2.events if ev.process == p)
+        if e1 != e2:
+            return False
+    return True
+
+
+def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
+    """Do e1 and e2 (distinct processes) commute at config?
+
+    True iff applying them in either order yields the same core key
+    (states, inboxes with payloads, channels), with event logs equal up
+    to the interleaving of the two processes' events.
+    Both orders must be applicable.
+    """
+    if e1.process == e2.process:
+        raise PreconditionViolated("commute_check needs steps of distinct processes")
+    if not applicable(config, e1) or not applicable(config, e2):
+        raise PreconditionViolated("both steps must be applicable to the configuration")
+    c12 = apply_step(apply_step(config, e1, protocol), e2, protocol)
+    c21 = apply_step(apply_step(config, e2, protocol), e1, protocol)
+    return (
+        c12.core_key() == c21.core_key()
+        and events_equal_mod_interleaving(c12, c21)
+    )
+
+
+def audit_buffer_conservation(
+    initial: Configuration, history: Sequence[Step], protocol
+) -> bool:
+    """Replay and check sends == receipts + final buffer, as multisets."""
+    sent: set[Message] = set(buffer(initial))
+    received: set[Message] = set()
+    current = initial
+    for step in history:
+        nxt = apply_step(current, step, protocol)
+        if step.received is not None:
+            received.add(step.received)
+        sent |= buffer(nxt) - buffer(current)
+        current = nxt
+    return sent - received == buffer(current) and received <= sent
 
 
 def random_walk(scenario: Scenario, rng: random.Random, steps: int):

@@ -11,7 +11,15 @@ import itertools
 import random
 import time
 
-from conftest import perm_linearizable, random_tree, random_walk, run_corpus
+from conftest import (
+    RESPONSE_VALUES,
+    audit_buffer_conservation,
+    commute_check,
+    perm_linearizable,
+    random_tree,
+    random_walk,
+    run_corpus,
+)
 from linlab.checkers import (
     Counterexample,
     Strategy,
@@ -22,12 +30,7 @@ from linlab.checkers import (
     strong_linearization_exists,
     write_strong_linearization_exists,
 )
-from linlab.model import (
-    apply_step,
-    audit_buffer_conservation,
-    commute_check,
-    enabled_steps,
-)
+from linlab.model import apply_step, enabled_steps
 from linlab.progress import (
     check_1rlf,
     check_nonblocking,
@@ -243,7 +246,7 @@ def test_4_always_bivalent_rounds_on_naive_tos():
     assert not problems, "; ".join(problems)
 
 
-def _random_history(rng, alphabet, spec, max_ops=6):
+def _random_history(rng, alphabet, max_ops=6):
     """Random well-formed history: per-process sequential, random merge."""
     n_ops = rng.randint(1, max_ops)
     per = [[] for _ in range(rng.randint(1, 3))]
@@ -256,7 +259,7 @@ def _random_history(rng, alphabet, spec, max_ops=6):
             q.append(inv(op, p, oid))
             # only the last op of a process may stay pending
             if k < len(ops) - 1 or rng.random() < 0.7:
-                q.append(res(op, p, oid, rng.choice(spec.response_values(op))))
+                q.append(res(op, p, oid, rng.choice(RESPONSE_VALUES[op.name])))
         if q:
             queues.append(q)
     events = []
@@ -278,7 +281,7 @@ def test_5_checker_agrees_with_permutation_oracle():
         (REG_SPEC, (write(0), write(1), READ)),
     ):
         for _ in range(120):
-            h = _random_history(rng, alphabet, spec)
+            h = _random_history(rng, alphabet)
             fast = is_linearizable(h, spec) is not None
             slow = perm_linearizable(h, spec)
             checked += 1

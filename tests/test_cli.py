@@ -80,6 +80,27 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", "--config", str(cfgfile))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"schedule": [{"process": 0, "message_uid": None},
+                           {"process": 1, "message_uid": None}], "crash": 1},
+             "schedule[1]: process 1 is crashed"),
+            ({"schedule": [{"process": 1, "message_uid": None}], "depth": 4},
+             "depth bounds the fair schedule; it does not apply beside schedule"),
+        ],
+        ids=["crashed process steps", "depth beside schedule"],
+    )
+    def test_schedule_the_run_would_not_follow_is_refused(
+        self, capsys, tmp_path, config, message
+    ):
+        # each of these used to exit 0 with a trace that ignored the setting
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(dict(config, protocol="naive-tos")))
+        code = main(["simulate", "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
 
 class TestCheck:
     def test_lin_flags_the_naive_anomaly(self, capsys):

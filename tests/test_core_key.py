@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import random_walk
+from conftest import buffer, random_walk
 from linlab.model import (
     Message,
     NotApplicable,
@@ -30,9 +30,9 @@ def test_forged_payload_step_is_not_applicable():
     # that was never sent, so it must not apply
     s = build_scenario("abd-reg")
     config = s.initial()
-    while not config.buffer:
+    while not buffer(config):
         config = apply_step(config, Step(s.built.clients[0], None), s.system)
-    m = min(config.buffer, key=Message.sort_key)
+    m = min(buffer(config), key=lambda m: (m.seq, m.sender))
     forged = Message(m.seq, m.sender, m.receiver, ("FORGED",))
     step = Step(m.receiver, forged)
     assert not applicable(config, step)

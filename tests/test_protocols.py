@@ -31,6 +31,8 @@ from linlab.protocols import (
 from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
 from linlab.valence import Scenario, build_scenario, fair_completion
 
+from conftest import buffer
+
 
 def responses(config):
     return [ev for ev in config.events if ev.kind == RESPONSE]
@@ -41,7 +43,7 @@ class TestNaiveTos:
         s = build_scenario("naive-tos")
         init = s.initial()
         config = apply_step(init, Step(1, None), s.system)
-        assert len(config.buffer) > len(init.buffer)
+        assert len(buffer(config)) > len(buffer(init))
         assert not responses(config)
         # one more local step completes the SET, no acks involved
         config = apply_step(config, Step(1, None), s.system)
@@ -59,7 +61,7 @@ class TestNaiveTos:
     def test_delivered_set_flips_the_tester(self):
         s = build_scenario("naive-tos")
         config = apply_step(s.initial(), Step(1, None), s.system)
-        for m in sorted(config.buffer, key=lambda m: m.uid):
+        for m in sorted(buffer(config), key=lambda m: m.uid):
             if m.receiver == 0:
                 config = apply_step(config, Step(0, m), s.system)
         config = apply_step(config, Step(0, None), s.system)
@@ -81,7 +83,7 @@ class TestNaiveTos:
             for p in range(s.n):
                 step = Step(p, *config.inbox[p][:1])
                 config = apply_step(config, step, s.system)
-            if config.states == before.states and config.buffer == before.buffer:
+            if config.states == before.states and buffer(config) == buffer(before):
                 break
         assert len(responses(config)) == 2
         assert {ev.op.name for ev in responses(config)} == {"SET", "TEST"}
@@ -177,7 +179,7 @@ class TestTrivialAck:
         config = apply_step(init, Step(0, None), built.system)
         assert not responses(config)
         # route the broadcast to the servers, then their replies back
-        for m in sorted(config.buffer, key=lambda m: m.uid):
+        for m in sorted(buffer(config), key=lambda m: m.uid):
             if m.payload[0] == "PING" and m.receiver >= 2:
                 config = apply_step(config, Step(m.receiver, m), built.system)
         delivered = 0

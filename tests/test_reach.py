@@ -26,13 +26,15 @@ from linlab.valence import (
     reach,
 )
 
+from conftest import buffer
+
 PROTOCOLS = ["naive-tos", "abd-tos", "abd-reg", "trivial-ack"]
 DEPTHS = range(7)
 
 
 def scratch_key(s, config):
-    buffer = frozenset((m.seq, m.sender, m.receiver, m.payload) for m in config.buffer)
-    return (config.states, buffer, config.channels), s.decided(config)
+    messages = frozenset((m.seq, m.sender, m.receiver, m.payload) for m in buffer(config))
+    return (config.states, messages, config.channels), s.decided(config)
 
 
 def oracle(s, start, depth, forbid=None, stop_decided=False) -> dict:
@@ -160,7 +162,7 @@ def test_stop_decided_never_extends_a_decision(name, label, depth):
 @pytest.mark.parametrize("name,label,depth", cases())
 def test_rank_reorders_but_keeps_the_classes(name, label, depth):
     s, start, plain = swept(name, label, depth)
-    ranked = list(_by_rank(iter(plain), lambda c: -len(c.buffer)))
+    ranked = list(_by_rank(iter(plain), lambda c: -len(buffer(c))))
     assert [d for _, _, d in ranked] == sorted(d for _, _, d in ranked)
     assert {scratch_key(s, c): d for c, _, d in ranked} == {
         scratch_key(s, c): d for c, _, d in plain
@@ -192,7 +194,7 @@ def test_stop_decided_cuts_the_sweep_at_decisions():
 
 
 def fullest_buffer_first(c):
-    return -len(c.buffer)
+    return -len(buffer(c))
 
 
 def most_completions_first(c):
@@ -201,7 +203,7 @@ def most_completions_first(c):
 
 def scrambled(c):
     # no relation to the order of discovery, so sorting moves classes far
-    return sum(m.seq * 7 + m.sender * 3 + m.receiver for m in c.buffer) % 5
+    return sum(m.seq * 7 + m.sender * 3 + m.receiver for m in buffer(c)) % 5
 
 
 # name -> (reach keywords, rank or None); a ranked variant examines

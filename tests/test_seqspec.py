@@ -29,21 +29,21 @@ from linlab.seqspec import (
 )
 
 
-from conftest import perm_linearizable
+from conftest import RESPONSE_VALUES, perm_linearizable
 
 
-def completions(h, spec):
+def completions(h):
     """Every completion of h: each pending op is either dropped (its
     invocation removed) or completed by a response appended at the end.
 
-    Appended responses carry each value the spec allows for that op, so
-    the number of completions is the product over pending ops of
+    Appended responses carry each value RESPONSE_VALUES allows for that
+    op, so the number of completions is the product over pending ops of
     (1 + number of candidate responses). Complete ops are untouched.
     Deterministic order: pending ops by op_id; per op, drop first, then
-    candidate values in spec order.
+    candidate values in table order.
     """
     pending = sorted(h.pending_ops(), key=lambda o: o.op_id)
-    choice_sets = [(None,) + spec.response_values(o.op) for o in pending]
+    choice_sets = [(None,) + RESPONSE_VALUES[o.op.name] for o in pending]
     for assignment in itertools.product(*choice_sets):
         dropped = {o.op_id for o, c in zip(pending, assignment) if c is None}
         events = [
@@ -117,21 +117,21 @@ class TestHistoryReconstruction:
 class TestCompletions:
     def test_no_pending_yields_self(self):
         h = OpHistory([inv(SET, 1, 0), res(SET, 1, 0, DONE)])
-        assert list(completions(h, TOS_SPEC)) == [h]
+        assert list(completions(h)) == [h]
 
     def test_count_matches_product_formula(self):
         # one pending TEST: drop, complete with 0, complete with 1
         h = OpHistory([inv(SET, 1, 0), res(SET, 1, 0, DONE), inv(TEST, 0, 1)])
-        out = list(completions(h, TOS_SPEC))
+        out = list(completions(h))
         assert len(out) == 3
         assert all(not c.pending_ops() for c in out)
 
     def test_complete_ops_survive_every_completion(self):
         h = OpHistory([inv(write(0), 0, 0), inv(write(1), 1, 1)])
-        for c in completions(h, REG_SPEC):
+        for c in completions(h):
             assert len(c.pending_ops()) == 0
         # 2 pending writes, each drop-or-done: 2 * 2 completions
-        assert len(list(completions(h, REG_SPEC))) == 4
+        assert len(list(completions(h))) == 4
 
     @given(st.integers(0, 1), st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -144,7 +144,7 @@ class TestCompletions:
         if test_pending:
             events.append(inv(READ, 2, 2))
             expected *= 3  # drop, 0, or 1
-        out = list(completions(OpHistory(events), REG_SPEC))
+        out = list(completions(OpHistory(events)))
         assert len(out) == expected
         assert len(set(out)) == expected
 

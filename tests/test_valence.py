@@ -310,7 +310,9 @@ class TestExploreHistoryTree:
         tree = explore_history_tree(s, depth)
         ref = fresh_history_tree(s, depth)
         assert tree.bfs_order() == ref.bfs_order()
+        one_per_log = {}
         for nid, node in tree.nodes.items():
+            assert one_per_log.setdefault(node.history.events, node.history) is node.history
             assert node.parent == ref.nodes[nid].parent
             assert node.children == ref.nodes[nid].children
             assert node.history == ref.nodes[nid].history
