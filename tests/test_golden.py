@@ -1,12 +1,16 @@
 """CLI goldens: the exact stdout and exit code of fixed invocations.
 
-Each case below has a file tests/golden/<case>.json holding its argv,
-its exit code and its stdout, compared byte for byte. The files were
-frozen before the step layer was memoized, progress-naive-tos-d4 before
-the breadth-first sweeps moved onto valence.reach (it is the one case
-where progress's truncation rule and classify's disagree), and the
-check cases other than check-naive-tos-sl-d5 before the schedule tree
-shared one OpHistory between a node and a child that logged nothing. A
+Each of the 30 cases below has a file tests/golden/<case>.json holding
+its argv, its exit code and its stdout, compared byte for byte. The
+files were frozen before the step layer was memoized,
+progress-naive-tos-d4 before the breadth-first sweeps moved onto
+valence.reach (it is the one case where progress's truncation rule and
+classify's disagree), the check cases other than check-naive-tos-sl-d5
+before the schedule tree shared one OpHistory between a node and a
+child that logged nothing, and the demo cases other than demo-claim3,
+hbi-abd-tos-seed1 (the adversary stuck, exit 1), hbi-abd-tos-n4 and
+progress-abd-reg-d6 (which runs abd-reg's tag-query round) before the
+quorum register's reply branches were merged into one. A
 change that alters any of them changes a verdict, a certificate or a
 schedule. Regenerate them only when such a change is intended, and say
 so in CHANGES.md:
@@ -54,6 +58,14 @@ CASES = {
     "check-naive-tos-wsl-d6": ["check", "--protocol", "naive-tos", "--mode", "wsl",
                                "--depth", "6"],
     "check-abd-tos-d4": ["check", "--protocol", "abd-tos", "--depth", "4"],
+    "demo-init-bivalent": ["demo", "init-bivalent"],
+    "demo-claim2": ["demo", "claim2"],
+    "demo-hbi": ["demo", "hbi"],
+    "demo-subclaim-wsl": ["demo", "subclaim-wsl"],
+    "demo-appendix": ["demo", "appendix"],
+    "hbi-abd-tos-seed1": ["hbi", "--protocol", "abd-tos", "--seed", "1"],
+    "hbi-abd-tos-n4": ["hbi", "--protocol", "abd-tos", "--n", "4"],
+    "progress-abd-reg-d6": ["progress", "--protocol", "abd-reg", "--depth", "6"],
 }
 
 

@@ -29,7 +29,7 @@ from linlab.protocols import (
     make_driver_tos,
 )
 from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
-from linlab.valence import Scenario, build_scenario, fair_completion
+from linlab.valence import Scenario, build_scenario, fair_completion, reach
 
 from conftest import buffer
 
@@ -259,3 +259,22 @@ class TestPackedIdentifiers:
         assert build_protocol(name, UID_RADIX).system.num_processes == UID_RADIX
         with pytest.raises(PreconditionViolated):
             build_protocol(name, UID_RADIX + 1)
+
+
+class TestClassCounts:
+    """Frozen: classes reach yields to depth 10 from the initial
+    configuration, and the distinct event logs among them. A protocol
+    state that changes shape must still group configurations into
+    exactly these classes."""
+
+    @pytest.mark.parametrize(
+        "name,n,classes,logs",
+        [("naive-tos", 2, 10, 8), ("naive-tos", 3, 18, 8),
+         ("abd-tos", 3, 8490, 13), ("abd-tos", 4, 23110, 8),
+         ("abd-reg", 3, 11825, 12), ("abd-reg", 4, 11285, 5),
+         ("trivial-ack", 4, 1340, 15), ("trivial-ack", 5, 8713, 11)],
+    )
+    def test_classes_and_event_logs_to_depth_10(self, name, n, classes, logs):
+        s = build_scenario(name, n)
+        configs = [config for config, _, _ in reach(s, s.initial(), 10)]
+        assert (len(configs), len({c.events for c in configs})) == (classes, logs)
