@@ -185,6 +185,8 @@ def cmd_check(cfg) -> int:
 
 def cmd_valence(cfg) -> int:
     scenario = _scenario(cfg)
+    if scenario.decision_process is None:
+        raise ConfigError(f"protocol {cfg['protocol']!r} has no decision operation to classify")
     depth = _opt(cfg, "depth", VALENCE_DEPTH)
     verdict = classify_valence(scenario, scenario.initial(), depth)
     _emit(_json({"protocol": cfg["protocol"], "valence": verdict.to_json()}), cfg["out"])

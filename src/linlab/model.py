@@ -276,20 +276,16 @@ def enabled_steps(config: Configuration, process: int) -> tuple[Step, ...]:
 def trace_records(
     initial: Configuration, history: Sequence[Step], protocol
 ) -> list[dict]:
-    """One JSON-ready record per applied step (the wire trace format)."""
-    records = []
-    current = initial
-    for i, step in enumerate(history):
-        nxt = apply_step(current, step, protocol)
-        emitted = nxt.events[len(current.events):]
-        records.append(
-            {
-                "step_index": i,
-                "process": step.process,
-                "message_uid": None if step.received is None else step.received.uid,
-                "events_emitted": [ev.to_json() for ev in emitted],
-                "buffer_size": sum(map(len, nxt.inbox)),
-            }
-        )
-        current = nxt
-    return records
+    """One JSON-ready record per applied step (the wire trace format).
+    Raises NotApplicable, with its index, for a step that cannot apply."""
+    _, trace = apply_history(initial, history, protocol)
+    return [
+        {
+            "step_index": i,
+            "process": step.process,
+            "message_uid": None if step.received is None else step.received.uid,
+            "events_emitted": [ev.to_json() for ev in nxt.events[len(current.events):]],
+            "buffer_size": sum(map(len, nxt.inbox)),
+        }
+        for i, (step, current, nxt) in enumerate(zip(history, trace, trace[1:]))
+    ]

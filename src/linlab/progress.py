@@ -80,12 +80,15 @@ class ProgressWitness:
 @dataclass
 class ProgressVerdict:
     condition: str
-    holds: bool
     witness: Optional[ProgressWitness]
     configs_checked: int
     depth: int
     exhausted: bool  # reachable space fully swept below the depth bound, no witness
     notes: dict = field(default_factory=dict)
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         return {
@@ -158,13 +161,14 @@ def _sweep(scenario: Scenario, depth: int, crash_choices):
     """Shared engine: for every reachable configuration and every crash
     choice with a surviving pending operation, demand fair progress.
 
-    The sweep is truncated when some class lies beyond `depth`: the
-    first class reach yields at depth + 1 ends it. A witness ends it
-    early too, so the sweep is then truncated as well."""
+    Returns (witness, checked, truncated). The sweep is truncated when
+    some class lies beyond `depth`: the first class reach yields at
+    depth + 1 ends it. A witness ends it early too, so the sweep is
+    then truncated as well."""
     checked = 0
     for config, hist, d in reach(scenario, scenario.initial(), depth + 1):
         if d > depth:
-            return True, None, checked, True
+            return None, checked, True
         checked += 1
         pending = [
             (o.process, f"{o.op}#{o.op_id}@p{o.process}")
@@ -178,8 +182,8 @@ def _sweep(scenario: Scenario, depth: int, crash_choices):
             stall = _fair_progress(scenario, config, live, FAIR_BOUND)
             if stall is not None:
                 witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)
-                return False, witness, checked, True
-    return True, None, checked, False
+                return witness, checked, True
+    return None, checked, False
 
 
 def check_1rlf(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
@@ -187,10 +191,9 @@ def check_1rlf(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
     configuration, for every single crash (or none), the survivors'
     fair schedule completes some surviving pending operation."""
     choices = [frozenset()] + [frozenset({q}) for q in range(scenario.n)]
-    holds, witness, checked, truncated = _sweep(scenario, depth, choices)
+    witness, checked, truncated = _sweep(scenario, depth, choices)
     return ProgressVerdict(
         condition="1-resilient lock-freedom",
-        holds=holds,
         witness=witness,
         configs_checked=checked,
         depth=depth,
@@ -203,10 +206,9 @@ def check_nonblocking(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
     with the scenario's clients and servers as the split."""
     split = default_split(scenario)
     choices = split.allowed_crash_sets()
-    holds, witness, checked, truncated = _sweep(scenario, depth, choices)
+    witness, checked, truncated = _sweep(scenario, depth, choices)
     return ProgressVerdict(
         condition="nonblocking",
-        holds=holds,
         witness=witness,
         configs_checked=checked,
         depth=depth,

@@ -73,7 +73,14 @@ def _check_process_count(n: int) -> None:
 
 
 class ProtocolUnderTest:
-    """Deterministic per-process automaton interface."""
+    """Deterministic per-process automaton interface.
+
+    Every local state is an immutable value with a `pid` field, the
+    process's id, and a `pending` field, which is None exactly when the
+    process has no operation in flight. ScriptedSystem reads both: it
+    picks the script by `pid`, and invokes an operation or sends a
+    driver tag only while `pending` is None.
+    """
 
     name: str = "abstract"
     num_processes: int = 0
@@ -98,9 +105,6 @@ class ProtocolUnderTest:
     def invoke(self, state, op: Op) -> Effect:
         raise NotImplementedError
 
-    def has_pending_op(self, state) -> bool:
-        raise NotImplementedError
-
 
 # --- naive test/set flag ---------------------------------------------------
 
@@ -110,7 +114,7 @@ class NaiveTosState:
     pid: int
     flag: int
     opcount: int
-    set_flush: Optional[int]  # op_id of a SET awaiting its completion step
+    pending: Optional[int]  # op_id of a SET awaiting its completion step
 
 
 class NaiveTosProtocol(ProtocolUnderTest):
@@ -124,16 +128,16 @@ class NaiveTosProtocol(ProtocolUnderTest):
         self.num_processes = n
 
     def init_state(self, process: int) -> NaiveTosState:
-        return NaiveTosState(pid=process, flag=0, opcount=0, set_flush=None)
+        return NaiveTosState(pid=process, flag=0, opcount=0, pending=None)
 
     def transition(self, state: NaiveTosState, received) -> Effect:
         events = []
         if received is not None and received.payload[0] == "SETBIT":
             state = replace(state, flag=1)
-        if state.set_flush is not None:
+        if state.pending is not None:
             # the one extra local step a SET takes before completing
-            events.append(res(SET, state.pid, state.set_flush, DONE))
-            state = replace(state, set_flush=None)
+            events.append(res(SET, state.pid, state.pending, DONE))
+            state = replace(state, pending=None)
         return Effect(state, (), tuple(events))
 
     def invoke(self, state: NaiveTosState, op: Op) -> Effect:
@@ -143,7 +147,7 @@ class NaiveTosProtocol(ProtocolUnderTest):
             sends = tuple(
                 (q, ("SETBIT",)) for q in range(self.num_processes) if q != state.pid
             )
-            state = replace(state, set_flush=op_id)
+            state = replace(state, pending=op_id)
             return Effect(state, sends, (inv(op, state.pid, op_id),))
         if op.name == "TEST":
             events = (
@@ -152,9 +156,6 @@ class NaiveTosProtocol(ProtocolUnderTest):
             )
             return Effect(state, (), events)
         raise IllegalOp(f"naive flag does not implement {op}")
-
-    def has_pending_op(self, state: NaiveTosState) -> bool:
-        return state.set_flush is not None
 
 
 # --- quorum-replicated one-bit register ------------------------------------
@@ -167,7 +168,10 @@ class AbdState:
     rval: int  # replica value
     opcount: int
     wcount: int  # single-writer tag counter
-    pending: Optional[tuple]  # client-side phase record, see _handle
+    pending: Optional[tuple]  # client-side phase record, see _round
+
+
+_COLLECTS = {"wq": "QTR", "rq": "QVR", "ws": "ACK", "rs": "ACK"}  # reply kind per phase
 
 
 class AbdRegisterProtocol(ProtocolUnderTest):
@@ -199,124 +203,77 @@ class AbdRegisterProtocol(ProtocolUnderTest):
             pid=process, rtag=(0, 0), rval=0, opcount=0, wcount=0, pending=None
         )
 
-    def _broadcast(self, payload) -> tuple:
-        return tuple((q, payload) for q in range(self.num_processes))
-
     def transition(self, state: AbdState, received) -> Effect:
         if received is None:
             return Effect(state, (), ())
-        return self._handle(state, received)
-
-    def _handle(self, state: AbdState, msg) -> Effect:
-        kind = msg.payload[0]
-        sends: list = []
-        events: list = []
+        payload, sender = received.payload, received.sender
+        kind = payload[0]
 
         # replica duties (always on, also while a client op is in flight)
         if kind == "QT":
-            _, rid = msg.payload
-            sends.append((msg.sender, ("QTR", rid, state.rtag[0], state.rtag[1])))
-        elif kind == "QV":
-            _, rid = msg.payload
-            sends.append(
-                (msg.sender, ("QVR", rid, state.rtag[0], state.rtag[1], state.rval))
-            )
-        elif kind == "ST":
-            _, rid, num, wid, val = msg.payload
+            return Effect(state, ((sender, ("QTR", payload[1]) + state.rtag),), ())
+        if kind == "QV":
+            reply = ("QVR", payload[1]) + state.rtag + (state.rval,)
+            return Effect(state, ((sender, reply),), ())
+        if kind == "ST":
+            _, rid, num, wid, val = payload
             if (num, wid) > state.rtag:
                 state = replace(state, rtag=(num, wid), rval=val)
-            sends.append((msg.sender, ("ACK", rid)))
+            return Effect(state, ((sender, ("ACK", rid)),), ())
 
-        # client duties (quorum collection for the phase in flight)
-        elif kind == "QTR" and state.pending and state.pending[0] == "wq":
-            _, rid, num, wid = msg.payload
-            _, op_id, value, want_rid, replies = state.pending
-            if rid == want_rid and msg.sender not in {s for s, *_ in replies}:
-                replies = replies | {(msg.sender, num, wid)}
-                if len(replies) >= self.majority:
-                    newtag = (max(n for _, n, _ in replies) + 1, state.pid)
-                    store_rid = op_id * 4 + 1
-                    state = replace(
-                        state,
-                        pending=("ws", op_id, store_rid, newtag, value, frozenset()),
-                    )
-                    sends.extend(
-                        self._broadcast(("ST", store_rid, newtag[0], newtag[1], value))
-                    )
-                else:
-                    state = replace(
-                        state, pending=("wq", op_id, value, want_rid, replies)
-                    )
-        elif kind == "QVR" and state.pending and state.pending[0] == "rq":
-            _, rid, num, wid, val = msg.payload
-            _, op_id, want_rid, replies = state.pending
-            if rid == want_rid and msg.sender not in {s for s, *_ in replies}:
-                replies = replies | {(msg.sender, num, wid, val)}
-                if len(replies) >= self.majority:
-                    _, num, wid, val = max(replies, key=lambda r: (r[1], r[2]))
-                    store_rid = op_id * 4 + 1
-                    state = replace(
-                        state,
-                        pending=("rs", op_id, store_rid, (num, wid), val, frozenset()),
-                    )
-                    sends.extend(self._broadcast(("ST", store_rid, num, wid, val)))
-                else:
-                    state = replace(state, pending=("rq", op_id, want_rid, replies))
-        elif kind == "ACK" and state.pending and state.pending[0] in ("ws", "rs"):
-            _, rid = msg.payload
-            phase, op_id, want_rid, tag, value, acks = state.pending
-            if rid == want_rid and msg.sender not in acks:
-                acks = acks | {msg.sender}
-                if len(acks) >= self.majority:
-                    if phase == "ws":
-                        events.append(res(write(value), state.pid, op_id, DONE))
-                    else:
-                        events.append(res(READ, state.pid, op_id, value))
-                    state = replace(state, pending=None)
-                else:
-                    state = replace(
-                        state, pending=(phase, op_id, want_rid, tag, value, acks)
-                    )
-        return Effect(state, tuple(sends), tuple(events))
+        # client duties: collect a majority of replies for the phase in flight
+        if state.pending is None or kind != _COLLECTS[state.pending[0]]:
+            return Effect(state, (), ())
+        phase, op_id, rid, carry, replies = state.pending
+        if payload[1] != rid or sender in {r[0] for r in replies}:
+            return Effect(state, (), ())
+        replies = replies | {(sender,) + payload[2:]}
+        if len(replies) < self.majority:
+            return Effect(replace(state, pending=(phase, op_id, rid, carry, replies)), (), ())
+        if phase == "wq":  # carry: the value to write
+            newtag = (max(num for _, num, _ in replies) + 1, state.pid)
+            return self._round(state, "ws", op_id, (newtag, carry))
+        if phase == "rq":  # write back the value with the largest tag
+            _, num, wid, val = max(replies, key=lambda r: (r[1], r[2]))
+            return self._round(state, "rs", op_id, ((num, wid), val))
+        _, value = carry  # a store round: (tag, value)
+        op, result = (write(value), DONE) if phase == "ws" else (READ, value)
+        return Effect(replace(state, pending=None), (), (res(op, state.pid, op_id, result),))
+
+    def _round(self, state: AbdState, phase: str, op_id: int, carry, events=()) -> Effect:
+        """Enter `phase` of operation op_id and broadcast its request: a
+        tag query ("wq"), a value query ("rq", carry None) or a store of
+        carry = (tag, value) ("ws", "rs"). The client phase record is
+        (phase, op_id, rid, carry, replies), replies holding each
+        replier's (sender,) + reply payload[2:]."""
+        if phase in ("wq", "rq"):
+            rid = op_id * 4
+            request = ("QT" if phase == "wq" else "QV", rid)
+        else:
+            rid = op_id * 4 + 1
+            (num, wid), value = carry
+            request = ("ST", rid, num, wid, value)
+        state = replace(state, pending=(phase, op_id, rid, carry, frozenset()))
+        return Effect(state, tuple((q, request) for q in range(self.num_processes)), events)
 
     def invoke(self, state: AbdState, op: Op) -> Effect:
         if state.pending is not None:
             raise PreconditionViolated("one operation per process at a time")
         op_id = _next_op_id(state)
         state = replace(state, opcount=state.opcount + 1)
+        events = (inv(op, state.pid, op_id),)
         if op.name == "WRITE":
             if state.pid not in self.writers:
                 raise IllegalOp(f"process {state.pid} is not a writer")
             if self.multi_writer:
-                rid = op_id * 4
-                state = replace(state, pending=("wq", op_id, op.arg, rid, frozenset()))
-                return Effect(
-                    state, self._broadcast(("QT", rid)), (inv(op, state.pid, op_id),)
-                )
-            rid = op_id * 4 + 1
-            tag = (state.wcount + 1, state.pid)
-            state = replace(
-                state,
-                wcount=state.wcount + 1,
-                pending=("ws", op_id, rid, tag, op.arg, frozenset()),
-            )
-            return Effect(
-                state,
-                self._broadcast(("ST", rid, tag[0], tag[1], op.arg)),
-                (inv(op, state.pid, op_id),),
-            )
+                return self._round(state, "wq", op_id, op.arg, events)
+            state = replace(state, wcount=state.wcount + 1)
+            return self._round(state, "ws", op_id, ((state.wcount, state.pid), op.arg), events)
         if op.name == "READ":
             if state.pid != self.reader:
                 raise IllegalOp(f"process {state.pid} is not the reader")
-            rid = op_id * 4
-            state = replace(state, pending=("rq", op_id, rid, frozenset()))
-            return Effect(
-                state, self._broadcast(("QV", rid)), (inv(op, state.pid, op_id),)
-            )
+            return self._round(state, "rq", op_id, None, events)
         raise IllegalOp(f"register does not implement {op}")
-
-    def has_pending_op(self, state: AbdState) -> bool:
-        return state.pending is not None
 
 
 # --- test/set on top of a register -----------------------------------------
@@ -338,15 +295,11 @@ class RegisterToSAdapter(ProtocolUnderTest):
 
     @staticmethod
     def _translate(events) -> tuple:
-        out = []
-        for ev in events:
-            if ev.op.name == "WRITE":
-                out.append(OperationEvent(ev.kind, SET, ev.process, ev.op_id, ev.value))
-            elif ev.op.name == "READ":
-                out.append(OperationEvent(ev.kind, TEST, ev.process, ev.op_id, ev.value))
-            else:
-                out.append(ev)
-        return tuple(out)
+        flag_op = {"WRITE": SET, "READ": TEST}
+        return tuple(
+            OperationEvent(ev.kind, flag_op[ev.op.name], ev.process, ev.op_id, ev.value)
+            for ev in events
+        )
 
     def transition(self, state, received) -> Effect:
         eff = self.register.transition(state, received)
@@ -360,9 +313,6 @@ class RegisterToSAdapter(ProtocolUnderTest):
         else:
             raise IllegalOp(f"flag adapter does not implement {op}")
         return Effect(eff.state, eff.sends, self._translate(eff.events))
-
-    def has_pending_op(self, state) -> bool:
-        return self.register.has_pending_op(state)
 
 
 # --- trivial-ack object -----------------------------------------------------
@@ -421,9 +371,6 @@ class TrivialAckProtocol(ProtocolUnderTest):
         state = replace(state, opcount=state.opcount + 1, pending=(op_id, op.name, frozenset()))
         return Effect(state, sends, (inv(op, state.pid, op_id),))
 
-    def has_pending_op(self, state: TrivialAckState) -> bool:
-        return state.pending is not None
-
 
 # --- scripted drivers -------------------------------------------------------
 
@@ -446,40 +393,35 @@ class SendTag:
 
 @dataclass(frozen=True)
 class DriverProgram:
-    """Per-process operation scripts plus which response decides a run."""
+    """Per-process operation scripts plus which response decides a run.
 
-    scripts: tuple  # tuple of per-process action tuples, index = process
+    scripts[p] is process p's tuple of actions. The scripts cover
+    processes 0, 1, ... up to some count, and every process after them
+    has no script, so one program drives a protocol at any size. The
+    value the response of decision_op at decision_process returns is
+    the run's decision; both are None for a program that decides
+    nothing."""
+
+    scripts: tuple
     decision_process: Optional[int]
     decision_op: Optional[str]
 
 
-def make_driver_tos(protocol: ProtocolUnderTest) -> DriverProgram:
-    """Process 0 tests, process 1 sets, nothing else."""
-    scripts = [() for _ in range(protocol.num_processes)]
-    scripts[0] = (Invoke(TEST),)
-    scripts[1] = (Invoke(SET),)
-    return DriverProgram(tuple(scripts), 0, "TEST")
+# Process 0 tests, process 1 sets, nothing else.
+DRIVER_TOS = DriverProgram(((Invoke(TEST),), (Invoke(SET),)), 0, "TEST")
 
+# Handshaked two-writer/one-reader program. Process 0 writes 0, then
+# waits for "OK" before reading; process 1 writes 1 and sends "OK" once
+# its write returned. The read therefore never starts before the write
+# of 1 has completed.
+DRIVER_2W1R = DriverProgram(
+    ((Invoke(write(0)), WaitFor("OK"), Invoke(READ)), (Invoke(write(1)), SendTag("OK", 0))),
+    0,
+    "READ",
+)
 
-def make_driver_2w1r(protocol: ProtocolUnderTest) -> DriverProgram:
-    """Handshaked two-writer/one-reader program.
-
-    Process 0 writes 0, then waits for "OK" before reading; process 1
-    writes 1 and sends "OK" once its write returned. The read therefore
-    never starts before the write of 1 has completed.
-    """
-    scripts = [() for _ in range(protocol.num_processes)]
-    scripts[0] = (Invoke(write(0)), WaitFor("OK"), Invoke(READ))
-    scripts[1] = (Invoke(write(1)), SendTag("OK", 0))
-    return DriverProgram(tuple(scripts), 0, "READ")
-
-
-def make_driver_clients(protocol: ProtocolUnderTest) -> DriverProgram:
-    """Processes 0 and 1 invoke one operation each; the rest stay passive."""
-    scripts = [() for _ in range(protocol.num_processes)]
-    scripts[0] = (Invoke(Op("OP")),)
-    scripts[1] = (Invoke(Op("OP")),)
-    return DriverProgram(tuple(scripts), None, None)
+# Processes 0 and 1 invoke one operation each; the rest stay passive.
+DRIVER_CLIENTS = DriverProgram(((Invoke(Op("OP")),), (Invoke(Op("OP")),)), None, None)
 
 
 _CANONICAL = weakref.WeakValueDictionary()  # field values -> the live SysState with them
@@ -524,8 +466,8 @@ class ScriptedSystem(ProtocolUnderTest):
     """
 
     def __init__(self, inner: ProtocolUnderTest, driver: DriverProgram, name: str):
-        if len(driver.scripts) != inner.num_processes:
-            raise PreconditionViolated("driver script count must match process count")
+        if len(driver.scripts) > inner.num_processes:
+            raise PreconditionViolated("driver has more scripts than the protocol has processes")
         self.inner = inner
         self.driver = driver
         self.name = name
@@ -561,28 +503,25 @@ class ScriptedSystem(ProtocolUnderTest):
         sends.extend(eff.sends)
         events.extend(eff.events)
 
-        script = self.driver.scripts[impl.pid]  # every inner state carries its pid
+        scripts = self.driver.scripts
+        script = scripts[impl.pid] if impl.pid < len(scripts) else ()
         while pc < len(script):
             act = script[pc]
-            if isinstance(act, Invoke):
-                if self.inner.has_pending_op(impl):
+            if isinstance(act, WaitFor):
+                if act.tag not in flags:
                     break
+            elif not isinstance(act, (Invoke, SendTag)):
+                raise PreconditionViolated(f"unknown driver action {act!r}")
+            elif impl.pending is not None:
+                break  # invocations and tag sends wait for the operation in flight
+            elif isinstance(act, Invoke):
                 eff = self.inner.invoke(impl, act.op)
                 impl = eff.state
                 sends.extend(eff.sends)
                 events.extend(eff.events)
-                pc += 1
-            elif isinstance(act, WaitFor):
-                if act.tag not in flags:
-                    break
-                pc += 1
-            elif isinstance(act, SendTag):
-                if self.inner.has_pending_op(impl):
-                    break
-                sends.append((act.receiver, ("DRV", act.tag)))
-                pc += 1
             else:
-                raise PreconditionViolated(f"unknown driver action {act!r}")
+                sends.append((act.receiver, ("DRV", act.tag)))
+            pc += 1
 
         decided = state.decided
         driver = self.driver
@@ -615,55 +554,32 @@ class BuiltProtocol:
 
     @property
     def servers(self) -> tuple:
-        return tuple(p for p, script in enumerate(self.system.driver.scripts) if not script)
+        clients = self.clients
+        return tuple(p for p in range(self.system.num_processes) if p not in clients)
 
     @property
     def checker_mode(self) -> Optional[str]:
         return None if self.spec is None else self.spec.checker
 
 
-def _build_naive_tos(n: Optional[int]) -> BuiltProtocol:
-    n = 2 if n is None else n
-    inner = NaiveTosProtocol(n)
-    system = ScriptedSystem(inner, make_driver_tos(inner), "naive-tos")
-    return BuiltProtocol(system, TOS_SPEC)
-
-
-def _build_abd_tos(n: Optional[int]) -> BuiltProtocol:
-    n = 3 if n is None else n
-    inner = RegisterToSAdapter(AbdRegisterProtocol(n, writers=(1,), reader=0))
-    system = ScriptedSystem(inner, make_driver_tos(inner), "abd-tos")
-    return BuiltProtocol(system, TOS_SPEC)
-
-
-def _build_abd_reg(n: Optional[int]) -> BuiltProtocol:
-    n = 3 if n is None else n
-    inner = AbdRegisterProtocol(n, writers=(0, 1), reader=0)
-    system = ScriptedSystem(inner, make_driver_2w1r(inner), "abd-reg")
-    return BuiltProtocol(system, REG_SPEC)
-
-
-def _build_trivial_ack(n: Optional[int]) -> BuiltProtocol:
-    n = 4 if n is None else n
-    inner = TrivialAckProtocol(n)
-    system = ScriptedSystem(inner, make_driver_clients(inner), "trivial-ack")
-    return BuiltProtocol(system)
-
-
+# name -> (default n, the protocol for n, driver, sequential object)
 PROTOCOLS = {
-    "naive-tos": _build_naive_tos,
-    "abd-tos": _build_abd_tos,
-    "abd-reg": _build_abd_reg,
-    "trivial-ack": _build_trivial_ack,
+    "naive-tos": (2, NaiveTosProtocol, DRIVER_TOS, TOS_SPEC),
+    "abd-tos": (3, lambda n: RegisterToSAdapter(AbdRegisterProtocol(n, writers=(1,), reader=0)),
+                DRIVER_TOS, TOS_SPEC),
+    "abd-reg": (3, lambda n: AbdRegisterProtocol(n, writers=(0, 1), reader=0),
+                DRIVER_2W1R, REG_SPEC),
+    "trivial-ack": (4, TrivialAckProtocol, DRIVER_CLIENTS, None),
 }
 
 
 def build_protocol(name: str, n: Optional[int] = None) -> BuiltProtocol:
     """Look a protocol up by registry name and assemble it."""
     try:
-        builder = PROTOCOLS[name]
+        default_n, protocol, driver, spec = PROTOCOLS[name]
     except KeyError:
         raise KeyError(
             f"unknown protocol {name!r}; known: {', '.join(sorted(PROTOCOLS))}"
         ) from None
-    return builder(n)
+    inner = protocol(default_n if n is None else n)
+    return BuiltProtocol(ScriptedSystem(inner, driver, name), spec)

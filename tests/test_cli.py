@@ -154,6 +154,16 @@ class TestValence:
         assert report["valence"]["tag"] == "bivalent"
         assert set(report["valence"]["certificates"]) == {"0", "1"}
 
+    def test_protocol_without_a_decision_is_refused(self, capsys):
+        # trivial-ack decides nothing, so a sweep could only end unknown-at-bound
+        code = main(["valence", "--protocol", "trivial-ack"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: protocol 'trivial-ack' has no decision operation to classify\n"
+        )
+        assert captured.out == ""
+
 
 class TestExplore:
     def test_naive_tos_finds_the_triple(self, capsys):

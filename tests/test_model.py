@@ -275,3 +275,12 @@ class TestTraceRecords:
             assert rec["process"] == step.process
             expect = None if step.received is None else step.received.uid
             assert rec["message_uid"] == expect
+
+    def test_a_step_that_cannot_apply_is_refused_with_its_index(self):
+        s = build_scenario("abd-reg")
+        _, hist = random_walk(s, random.Random(2), 8)
+        received = next(step.received for step in hist if step.received is not None)
+        bad = tuple(hist) + (Step(received.receiver, received),)  # received twice
+        with pytest.raises(NotApplicable) as exc:
+            trace_records(s.initial(), bad, s.system)
+        assert exc.value.index == len(hist)

@@ -16,17 +16,16 @@ from linlab.model import (
 )
 from linlab.protocols import (
     OPID_STRIDE,
+    DRIVER_TOS,
     PROTOCOLS,
     AbdRegisterProtocol,
     BuiltProtocol,
     DriverProgram,
     Invoke,
-    RegisterToSAdapter,
     ScriptedSystem,
     SendTag,
     WaitFor,
     build_protocol,
-    make_driver_tos,
 )
 from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
 from linlab.valence import Scenario, build_scenario, fair_completion, reach
@@ -217,10 +216,8 @@ class TestDriverPrograms:
         assert built.checker_mode == checker
 
     def test_tos_driver_shape(self):
-        inner = AbdRegisterProtocol(3, writers=(1,), reader=0)
-        driver = make_driver_tos(RegisterToSAdapter(inner))
-        assert driver.decision_process == 0
-        assert driver.decision_op == "TEST"
+        assert DRIVER_TOS.decision_process == 0
+        assert DRIVER_TOS.decision_op == "TEST"
 
     def test_handshake_blocks_read_until_ok(self):
         # the reader's script may not pass WaitFor before the tag arrives
