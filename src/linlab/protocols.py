@@ -397,9 +397,9 @@ class DriverProgram:
 
     scripts[p] is process p's tuple of actions. The scripts cover
     processes 0, 1, ... up to some count, and every process after them
-    has no script, so one program drives a protocol at any size. The
-    value the response of decision_op at decision_process returns is
-    the run's decision; both are None for a program that decides
+    has no script, so one program drives a protocol at any size. A
+    run's decision is the value that decision_op returns at
+    decision_process; both are None for a program that decides
     nothing."""
 
     scripts: tuple
