@@ -260,6 +260,8 @@ def _demo_init_bivalent(cfg, say) -> bool:
     name = cfg["protocol"]
     scenario = _scenario(cfg)
     tester = scenario.decision_process
+    if tester is None:
+        raise ConfigError(f"protocol {name!r} has no decision operation to classify")
     setter = next(p for p in scenario.built.clients if p != tester)
     one = staged_probe(scenario, scenario.initial(), hold=tester)
     zero = staged_probe(scenario, scenario.initial(), hold=setter)

@@ -31,10 +31,10 @@ draws it from --seed).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, groupby
+from itertools import count
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -79,6 +79,11 @@ class Scenario:
     rotation: Optional[tuple] = None
     _absolute: dict = field(default_factory=dict, repr=False, compare=False)
     _suffixes: dict = field(default_factory=dict, repr=False, compare=False)
+    # intern table of _compact_key: each states tuple, inbox row and
+    # channel matrix met -> a small int, numbered at first sight
+    _ids: defaultdict = field(
+        default_factory=lambda: defaultdict(count().__next__), repr=False, compare=False
+    )
 
     @property
     def system(self):
@@ -114,7 +119,9 @@ class Scenario:
         configurations share a key only if they buffer the same
         payloads. Raw values rather than digests: states and messages
         hash by value, which beats re-encoding the whole configuration
-        on every dedup probe.
+        on every dedup probe. reach and the fair-run suffix memo, which
+        keep a key per class or boundary, key by its collapse-compressed
+        form (_compact_key) instead.
         """
         return config.core_key()
 
@@ -129,6 +136,34 @@ def completed_count(config: Configuration) -> int:
 
 
 # --- reachability ------------------------------------------------------------
+
+
+def _compact_key(ids, config: Configuration) -> tuple:
+    """The core key collapse-compressed (Holzmann, "State compression
+    in SPIN", 1997): (states id, one id per inbox row, channels id),
+    each part interned in `ids` at first sight. Two configurations get
+    equal compact keys exactly when their core keys are equal, and a
+    tuple of ints hashes in C and is untracked by the garbage collector.
+    """
+    return (ids[config.states], *map(ids.__getitem__, config.inbox), ids[config.channels])
+
+
+def _child_key(ids, child: Configuration, parent: Configuration, pkey: tuple, p: int) -> tuple:
+    """The compact key of `child`, which a step of process p made of
+    `parent`, whose key is pkey. A step that sent nothing replaced only
+    the states tuple and, on a receipt, row p, so only those are looked
+    up; the other ids are the parent's. A send replaced the channel
+    matrix and its receivers' rows, and its child is keyed in full:
+    hashing the unchanged rows in C costs less than testing each row
+    for identity in Python."""
+    if child.channels is not parent.channels:  # a send
+        return _compact_key(ids, child)
+    key = list(pkey)
+    key[0] = ids[child.states]
+    row = child.inbox[p]
+    if row is not parent.inbox[p]:  # a receipt
+        key[p + 1] = ids[row]
+    return tuple(key)
 
 
 def reach(
@@ -162,30 +197,36 @@ def reach(
     asleep at P itself: q's state is then the same as at P's parent, so
     P·s is not decided either, and its class entered `seen` before P
     was expanded. Every skipped edge is a dedup hit, so the yields are
-    exactly those of the unpruned sweep. Sleepers are (process, message)
-    pairs matched by identity: a message keeps its object from the send
-    to its receipt.
+    exactly those of the unpruned sweep. A sleeper is the received
+    message itself, whose receiver is the process, or the process id
+    for an idle receipt. Messages match by identity: a message keeps its
+    object from the send to its receipt.
 
     Steps go by their index in the inbox, and a Step is built only for
-    a yielded history. A class's key is its core key, which holds its
-    decision in the decider's state, so no event log is read. A step
-    whose apply_step returns `config` itself (an idle receipt that
-    changes nothing, see the model module) is a dedup hit, sleepers
-    included, with no key computed: config's own class is in `seen` and
-    expandable. A no-op that returns a new, equal configuration takes
-    the full path and hits `seen` the same way.
+    a yielded history. `seen` holds compact keys (_compact_key), which
+    are equal exactly when core keys are, so it keeps no configuration
+    alive. The core key holds the decision in the decider's state, so
+    no event log is read. Each frontier entry carries its key, and a
+    child that sent nothing interns only the parts its step replaced
+    (_child_key). A step whose apply_step returns `config` itself (an
+    idle receipt that changes nothing, see the model module) is a dedup
+    hit, sleepers included, with no key computed: config's own class is
+    in `seen` and expandable. A no-op that returns a new, equal
+    configuration takes the full path and hits `seen` the same way.
     """
     system = scenario.system
+    ids = scenario._ids
     dp = scenario.decision_process
     stop = stop_decided and dp is not None
-    seen = {start.core_key()}
+    key = _compact_key(ids, start)
+    seen = {key}
     yield start, (), 0
-    # an entry is (config, history, sleepers, cut): c's sleepers are the
-    # first `cut` (process, message) pairs of a list shared with its
-    # siblings, in enabled-step order
+    # an entry is (config, key, history, sleepers, cut): c's sleepers
+    # are the first `cut` of a list shared with its siblings, in
+    # enabled-step order
     layer = deque()
     if depth > 0 and not (stop_decided and scenario.decided(start) is not None):
-        layer.append((start, (), (), 0))
+        layer.append((start, key, (), (), 0))
     fp, fm = (-1, None) if forbid is None else forbid
     d = 0
     while layer:
@@ -193,7 +234,7 @@ def reach(
         below: deque = deque()
         keep = d < depth  # else no child is expanded, nor needs sleepers
         while layer:
-            config, hist, sleepers, cut = layer.popleft()
+            config, key, hist, sleepers, cut = layer.popleft()
             shared: list = []
             i = 0
             for p, row in enumerate(config.inbox):
@@ -203,32 +244,32 @@ def reach(
                     # holding the same message object as at the parent
                     if i < cut:
                         s = sleepers[i]
-                        if s[1] is m and s[0] == p:
+                        if s is m or m is None and s == p:
                             i += 1
                             if keep:
                                 shared.append(s)
                             continue
                     if p == fp and m == fm:
                         continue
-                    step = (p, m)
-                    child = apply_step(config, step, system, j)
+                    child = apply_step(config, (p, m), system, j)
                     if child is config:  # an idle no-op: config's own class
                         if keep:
-                            shared.append(step)
+                            shared.append(p)
                         continue
-                    expandable = not (stop and child.states[dp].decided is not None)
+                    expandable = keep and not (stop and child.states[dp].decided is not None)
+                    child_key = _child_key(ids, child, config, key, p)
                     size = len(seen)
-                    seen.add(child.core_key())  # one hash: a hit leaves seen's size as it was
+                    seen.add(child_key)  # one hash: a hit leaves seen's size as it was
                     if len(seen) == size:
-                        if keep and expandable:
-                            shared.append(step)
+                        if expandable:
+                            shared.append(p if m is None else m)
                         continue
                     # m came from inbox[p], so Step's receiver check cannot fail
                     child_hist = hist + (tuple.__new__(Step, (p, m)),)
                     yield child, child_hist, d
-                    if keep and expandable:
-                        below.append((child, child_hist, shared, sibling_cut))
-                        shared.append(step)
+                    if expandable:
+                        below.append((child, child_key, child_hist, shared, sibling_cut))
+                        shared.append(p if m is None else m)
         layer = below
 
 
@@ -273,11 +314,13 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     What happens after a round boundary depends only on the boundary's
     core key and the live processes, as long as the steps left cover
     it, so every boundary of a run that decided or went quiescent is
-    remembered in the scenario's suffix memo. A later run that reaches
-    a remembered boundary with at least the suffix's length left takes
-    the suffix instead of stepping it again; the resumed history,
-    value, event log and core equal those of the stepped run. A run cut
-    at the bound is not remembered.
+    remembered in the scenario's suffix memo, keyed by the boundary's
+    compact key (_compact_key) and the live processes. A later run that
+    reaches a remembered boundary with at least the suffix's length
+    left takes the suffix instead of stepping it again; the resumed
+    history, value, event log and core equal those of the stepped run.
+    A run cut at the bound is not remembered. A round that leaves the
+    compact key as it was leaves the run quiescent.
     """
     system = scenario.system
     dp = scenario.decision_process
@@ -287,19 +330,19 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     live = tuple(live)
     if not live:
         return FairRun((), TIMEOUT, config)
+    ids = scenario._ids
     memo = scenario._suffixes
-    boundaries: list = []  # (key, history offset, event-log length)
+    boundaries: list = []  # (memo key, history offset, event-log length)
     history: list = []
     current = config
+    key = _compact_key(ids, config)
     run = None
     while len(history) < bound:
-        key = (current.core_key(), live)
-        hit = memo.get(key)
+        hit = memo.get((key, live))
         if hit is not None and len(hit.run.history) - hit.offset <= bound - len(history):
             run = hit.resume(history, current)
             break
-        boundaries.append((key, len(history), len(current.events)))
-        before = current
+        boundaries.append(((key, live), len(history), len(current.events)))
         for p in live:
             row = current.inbox[p]
             m = row[0] if row else None
@@ -312,15 +355,16 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             current = nxt
             if len(history) >= bound:
                 break
-        if run is not None:
+        if run is not None or len(history) >= bound:
             break
-        if len(history) < bound and before.core_key() == current.core_key():
+        key, prior = _compact_key(ids, current), key
+        if key == prior:
             run = FairRun(tuple(history), TIMEOUT, current)  # nothing will ever change again
             break
     if run is None:
         return FairRun(tuple(history), TIMEOUT, current)
-    for key, offset, logged in boundaries:
-        memo[key] = _Suffix(run, offset, logged)
+    for boundary, offset, logged in boundaries:
+        memo[boundary] = _Suffix(run, offset, logged)
     return run
 
 
@@ -795,21 +839,46 @@ def completed_implies_univalent_audit(
 
 
 def _by_rank(classes, rank):
-    """reach's yields with each layer stably sorted by rank(config), so
-    a whole layer is swept before any class of it is handed on."""
-    return chain.from_iterable(
-        sorted(layer, key=lambda item: rank(item[0]))
-        for _, layer in groupby(classes, key=itemgetter(2))
-    )
+    """reach's yields with each layer stably sorted by rank(config).
+
+    A rank is non-negative. A class of rank 0 is handed on as soon as
+    reach discovers it; the layer's other classes are held until the
+    layer is complete (reach yields layer by layer) and then handed on
+    stably sorted by rank. That is the order of sorting each whole
+    layer, but a caller that stops at a rank-0 class has paid for no
+    more of the layer than reach had discovered by then.
+    """
+    held: list = []  # (rank, yield) of the current layer's later classes
+    layer = 0
+    for item in classes:
+        if item[2] != layer:
+            held.sort(key=itemgetter(0))
+            yield from map(itemgetter(1), held)
+            held, layer = [], item[2]
+        r = rank(item[0])
+        if r > 0:
+            held.append((r, item))
+        elif r == 0:
+            yield item
+        else:
+            raise ValueError(f"rank {r!r} is negative")
+    held.sort(key=itemgetter(0))
+    yield from map(itemgetter(1), held)
 
 
 def _completion_rank(config: Configuration) -> int:
     """Classes that pair a response with a pending op come first:
     bivalence with a completed op needs something still in flight to
     swing the decision. The rank only reorders the examination of each
-    layer, so the audit never explores more than plain breadth-first."""
-    invoked = sum(1 for ev in config.events if ev.kind == INVOCATION)
-    return 0 if 0 < completed_count(config) < invoked else 1
+    layer, so the audit never explores more than plain breadth-first.
+    One pass over the event log counts both kinds."""
+    invoked = completed = 0
+    for ev in config.events:
+        if ev.kind == INVOCATION:
+            invoked += 1
+        elif ev.kind == RESPONSE:
+            completed += 1
+    return 0 if 0 < completed < invoked else 1
 
 
 # --- plain history-tree exploration (for the tree checkers) --------------------

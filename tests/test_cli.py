@@ -456,6 +456,16 @@ class TestDemo:
         assert "stuck in round 3 at slot 2" in out
         assert "all traversed states bivalent" not in out
 
+    def test_init_bivalent_refuses_a_protocol_without_a_decision(self, capsys):
+        # trivial-ack decides nothing, so its staged probes could only time out
+        code = main(["demo", "init-bivalent", "--protocol", "trivial-ack"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: protocol 'trivial-ack' has no decision operation to classify\n"
+        )
+        assert captured.out == ""
+
     def test_unknown_token_exits_two(self, capsys):
         # argparse rejects tokens outside the fixed choice list
         with pytest.raises(SystemExit) as exc:

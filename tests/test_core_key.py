@@ -4,7 +4,9 @@ equal SysStates are one object.
 A configuration's core key is (states, inbox, channels). The inbox is a
 key in its own right because a Message compares by (seq, sender,
 receiver, payload). A SysState is hash-consed, so the states tuple
-compares and hashes by identity, and identity is equality.
+compares and hashes by identity, and identity is equality. Sweeps and
+fair runs key by its collapse-compressed form, a tuple of interned ids,
+which must be equal exactly when the core keys are.
 """
 
 import dataclasses
@@ -21,8 +23,11 @@ from linlab.model import (
     apply_step,
     applicable,
 )
+import linlab.valence as valence
 from linlab.protocols import SysState
-from linlab.valence import build_scenario
+from linlab.valence import build_scenario, fair_completion, reach, staged_probe
+
+PROTOCOLS = ["naive-tos", "abd-tos", "abd-reg", "trivial-ack"]
 
 
 def test_forged_payload_step_is_not_applicable():
@@ -83,3 +88,40 @@ class TestSysStateHash:
         assert state != dataclasses.replace(state, pc=state.pc + 1)
         assert state != dataclasses.replace(state, decided=0)
         assert repr(state).startswith("SysState(pc=")
+
+
+@pytest.mark.parametrize("stop_decided", [False, True])
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_compact_keys_are_equal_exactly_when_core_keys_are(name, stop_decided, monkeypatch):
+    # one scenario, so every sweep and fair run shares its intern table;
+    # most of the sweeps' keys are derived from their parent's
+    s = build_scenario(name)
+    keyed = []
+
+    def spy(real):
+        def keyer(ids, config, *rest):
+            key = real(ids, config, *rest)
+            keyed.append((config.core_key(), key))
+            return key
+        return keyer
+
+    for fn in ("_compact_key", "_child_key"):
+        monkeypatch.setattr(valence, fn, spy(getattr(valence, fn)))
+    starts = [s.initial()]
+    for seed, steps in [(1, 6), (2, 12), (3, 18)]:
+        _, hist = random_walk(s, random.Random(seed), steps)
+        starts.append(apply_history(s.initial(), hist, s.system)[0])
+    for start in starts:
+        for _ in reach(s, start, 4, stop_decided=stop_decided):
+            pass
+        fair_completion(s, start)
+        for q in range(s.n):
+            staged_probe(s, start, q)
+            fair_completion(s, start, crashed=q)
+    by_core, by_key = {}, {}
+    for core, key in keyed:
+        assert by_core.setdefault(core, key) == key
+        assert by_key.setdefault(key, core) == core
+        assert all(type(part) is int for part in key)
+    # keys met more than once, and several distinct ones: both directions bite
+    assert len(keyed) > len(by_key) > 5

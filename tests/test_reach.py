@@ -10,6 +10,8 @@ every expanded class: reach must yield exactly its sequence.
 A rank no longer steers the expansion. It only reorders each layer for
 examination (the audit's completion-first order, valence._by_rank), so
 the ranked tests check that reordering against a plain stable sort.
+Ranks are non-negative, and a rank-0 class is handed on as soon as it
+is discovered.
 """
 
 from collections import deque
@@ -162,7 +164,7 @@ def test_stop_decided_never_extends_a_decision(name, label, depth):
 @pytest.mark.parametrize("name,label,depth", cases())
 def test_rank_reorders_but_keeps_the_classes(name, label, depth):
     s, start, plain = swept(name, label, depth)
-    ranked = list(_by_rank(iter(plain), lambda c: -len(buffer(c))))
+    ranked = list(_by_rank(iter(plain), lambda c: 1 / (1 + len(buffer(c)))))
     assert [d for _, _, d in ranked] == sorted(d for _, _, d in ranked)
     assert {scratch_key(s, c): d for c, _, d in ranked} == {
         scratch_key(s, c): d for c, _, d in plain
@@ -183,6 +185,33 @@ def test_rank_leaves_the_layer_below_alone(name):
     assert sequence(s, [item for item in out if item[2] == 2]) == sequence(s, layer2)
 
 
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_a_rank_zero_class_is_handed_on_at_discovery(name):
+    # the first class of layer 2 has rank 0 and every other class rank 1:
+    # it is handed on before reach has yielded the rest of its layer
+    s = build_scenario(name)
+    layer2 = [c for c, _, d in reach(s, s.initial(), 3) if d == 2]
+    assert len(layer2) > 1
+    hot = scratch_key(s, layer2[0])
+    pulled = []
+
+    def spied():
+        for item in reach(s, s.initial(), 3):
+            pulled.append(item[2])
+            yield item
+
+    for c, _, d in _by_rank(spied(), lambda c: int(scratch_key(s, c) != hot)):
+        if scratch_key(s, c) == hot:
+            break
+    assert pulled.count(2) == 1 and pulled[-1] == 2
+
+
+def test_a_negative_rank_is_refused():
+    s = build_scenario("naive-tos")
+    with pytest.raises(ValueError):
+        list(_by_rank(reach(s, s.initial(), 1), lambda c: -1))
+
+
 def test_stop_decided_cuts_the_sweep_at_decisions():
     s = build_scenario("naive-tos")
     free = list(reach(s, s.initial(), 6))
@@ -193,12 +222,13 @@ def test_stop_decided_cuts_the_sweep_at_decisions():
 # --- sleep sets: the yield sequence of the unpruned sweep ---------------------
 
 
+# _by_rank takes non-negative ranks, so "most first" is a reciprocal
 def fullest_buffer_first(c):
-    return -len(buffer(c))
+    return 1 / (1 + len(buffer(c)))
 
 
 def most_completions_first(c):
-    return -completed_count(c)
+    return 1 / (1 + completed_count(c))
 
 
 def scrambled(c):

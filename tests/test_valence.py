@@ -1,6 +1,8 @@
 """Valence classification, adversarial schedules, and the audits."""
 
 import random
+from itertools import chain, groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,11 @@ from linlab.checkers import (
 )
 from linlab.model import PreconditionViolated, Step, apply_history, apply_step, enabled_steps
 from linlab.seqspec import REG_SPEC, RESPONSE, TOS_SPEC, OpHistory
+import linlab.valence as valence
 from linlab.valence import (
     TIMEOUT,
     ValenceTag,
+    _by_rank,
     _completion_rank,
     bivalent_successor,
     build_hbi,
@@ -221,7 +225,46 @@ class TestHbi:
         assert out["completions"] == []
 
 
+def sorted_layers(classes, rank):
+    """The examination order by sorting each whole layer: reach's yields
+    grouped by depth, each group stably sorted by rank."""
+    return chain.from_iterable(
+        sorted(layer, key=lambda item: rank(item[0]))
+        for _, layer in groupby(classes, key=itemgetter(2))
+    )
+
+
 class TestAudit:
+    @pytest.mark.parametrize("name,sweep,spec,mode", [
+        ("abd-reg", 16, REG_SPEC, "write-strong"),
+        ("abd-tos", 12, TOS_SPEC, "strong"),
+        ("naive-tos", 14, TOS_SPEC, "strong"),
+    ])
+    def test_streamed_ranking_examines_as_sorted_layers_do(
+        self, monkeypatch, name, sweep, spec, mode
+    ):
+        # _by_rank hands rank-0 classes on at discovery; the audit must
+        # still classify the same classes in the same order
+        real = valence.classify_valence
+
+        def examined(by_rank):
+            s = build_scenario(name)
+            calls = []
+
+            def spy(scenario, config, depth=None):
+                calls.append((config.core_key(), depth))
+                return real(scenario, config, depth)
+
+            monkeypatch.setattr(valence, "classify_valence", spy)
+            monkeypatch.setattr(valence, "_by_rank", by_rank)
+            triples = completed_implies_univalent_audit(
+                s, sweep, spec, checker_mode=mode, max_triples=1, order="completion-first"
+            )
+            return calls, [t.base_history for t in triples]
+
+        streamed, sorted_ = examined(_by_rank), examined(sorted_layers)
+        assert streamed == sorted_ and streamed[0]
+
     def test_naive_tos_single_completed_bivalent_class(self):
         s = build_scenario("naive-tos")
         triples = completed_implies_univalent_audit(
