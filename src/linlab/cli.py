@@ -262,6 +262,13 @@ def _demo_init_bivalent(cfg, say) -> bool:
     tester = scenario.decision_process
     if tester is None:
         raise ConfigError(f"protocol {name!r} has no decision operation to classify")
+    if scenario.system.driver.decision_op != "TEST":
+        # under another driver the probes' orders do not fix the decision:
+        # the 2W1R read waits for the write of 1, and the last writer wins
+        raise ConfigError(
+            f"protocol {name!r} is not a test/set object; its update-first and"
+            " query-first probes fix no decision"
+        )
     setter = next(p for p in scenario.built.clients if p != tester)
     one = staged_probe(scenario, scenario.initial(), hold=tester)
     zero = staged_probe(scenario, scenario.initial(), hold=setter)

@@ -161,6 +161,9 @@ def _sweep(scenario: Scenario, depth: int, crash_choices):
     """Shared engine: for every reachable configuration and every crash
     choice with a surviving pending operation, demand fair progress.
 
+    Which processes wait on an operation is read from their states (the
+    implementation's `pending`); the event log only labels a witness.
+
     Returns (witness, checked, truncated). The sweep is truncated when
     some class lies beyond `depth`: the first class reach yields at
     depth + 1 ends it. A witness ends it early too, so the sweep is
@@ -170,17 +173,18 @@ def _sweep(scenario: Scenario, depth: int, crash_choices):
         if d > depth:
             return None, checked, True
         checked += 1
-        pending = [
-            (o.process, f"{o.op}#{o.op_id}@p{o.process}")
-            for o in OpHistory(config.events).pending_ops()
-        ]
+        waiting = {p for p, s in enumerate(config.states) if s.impl.pending is not None}
         for crashed in crash_choices:
-            survivors = tuple(label for p, label in pending if p not in crashed)
-            if not survivors:
+            if waiting <= crashed:
                 continue
             live = [p for p in range(scenario.n) if p not in crashed]
             stall = _fair_progress(scenario, config, live, FAIR_BOUND)
             if stall is not None:
+                survivors = tuple(
+                    f"{o.op}#{o.op_id}@p{o.process}"
+                    for o in OpHistory(config.events).pending_ops()
+                    if o.process not in crashed
+                )
                 witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)
                 return witness, checked, True
     return None, checked, False

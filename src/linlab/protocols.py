@@ -441,13 +441,14 @@ class SysState:
     flags: frozenset  # driver tags received so far
     impl: object
     decided: Optional[int] = None  # what the driver's decision op returned here
+    done: int = 0  # this process's operations that have returned
 
-    def __new__(cls, pc: int, flags: frozenset, impl, decided: Optional[int] = None):
-        key = (pc, flags, impl, decided)
+    def __new__(cls, pc: int, flags: frozenset, impl, decided: Optional[int] = None, done: int = 0):
+        key = (pc, flags, impl, decided, done)
         state = _CANONICAL.get(key)
         if state is None:
             state = object.__new__(cls)
-            for name, value in zip(("pc", "flags", "impl", "decided"), key):
+            for name, value in zip(("pc", "flags", "impl", "decided", "done"), key):
                 object.__setattr__(state, name, value)
             _CANONICAL[key] = state
         return state
@@ -462,7 +463,9 @@ class ScriptedSystem(ProtocolUnderTest):
     need the implementation idle, waits need their tag, sends need the
     previous operation finished. The value the driver's decision op
     returns is kept in the deciding process's state (SysState.decided),
-    so a configuration's decision is part of its core.
+    so a configuration's decision is part of its core. So is the count
+    of each process's returned operations (SysState.done), which the
+    script position and the implementation's `pending` already fix.
     """
 
     def __init__(self, inner: ProtocolUnderTest, driver: DriverProgram, name: str):
@@ -523,16 +526,17 @@ class ScriptedSystem(ProtocolUnderTest):
                 sends.append((act.receiver, ("DRV", act.tag)))
             pc += 1
 
-        decided = state.decided
+        decided, done = state.decided, state.done
         driver = self.driver
         for ev in events:
-            if (ev.kind == RESPONSE and ev.process == driver.decision_process
-                    and ev.op.name == driver.decision_op):
-                decided = ev.value
+            if ev.kind == RESPONSE:
+                done += 1
+                if ev.process == driver.decision_process and ev.op.name == driver.decision_op:
+                    decided = ev.value
         # an unchanged state comes back as the same object (SysState is
         # hash-consed), which lets apply_step recognise a step that
         # changes nothing
-        return Effect(SysState(pc, flags, impl, decided), tuple(sends), tuple(events))
+        return Effect(SysState(pc, flags, impl, decided, done), tuple(sends), tuple(events))
 
 
 # --- registry ---------------------------------------------------------------

@@ -56,7 +56,7 @@ from .model import (
     initial_configuration,
 )
 from .protocols import BuiltProtocol, build_protocol
-from .seqspec import INVOCATION, OpHistory, RESPONSE
+from .seqspec import OpHistory, RESPONSE
 
 
 class _Timeout:
@@ -77,7 +77,6 @@ class Scenario:
 
     built: BuiltProtocol
     rotation: Optional[tuple] = None
-    _absolute: dict = field(default_factory=dict, repr=False, compare=False)
     _suffixes: dict = field(default_factory=dict, repr=False, compare=False)
     # intern table of _compact_key: each states tuple, inbox row and
     # channel matrix met -> a small int, numbered at first sight
@@ -111,18 +110,11 @@ class Scenario:
         return None if dp is None else config.states[dp].decided
 
     def vkey(self, config: Configuration) -> tuple:
-        """Behavioral identity: the core key (states, inbox, channels).
-
-        The decision is part of it, since the decider's state holds it.
-        The inbox is the configuration's own per-receiver tuples of
-        messages, and message identity includes the payload, so two
-        configurations share a key only if they buffer the same
-        payloads. Raw values rather than digests: states and messages
-        hash by value, which beats re-encoding the whole configuration
-        on every dedup probe. reach and the fair-run suffix memo, which
-        keep a key per class or boundary, key by its collapse-compressed
-        form (_compact_key) instead.
-        """
+        """Behavioral identity: the core key (states, inbox, channels),
+        which holds the decision in the decider's state. No search calls
+        it; it stays for the benchmark tracer, which wraps it by name.
+        reach and the fair-run suffix memo key by the collapse-compressed
+        form (_compact_key)."""
         return config.core_key()
 
 
@@ -132,7 +124,9 @@ def build_scenario(protocol: str = "naive-tos", n: Optional[int] = None, **kw) -
 
 
 def completed_count(config: Configuration) -> int:
-    return sum(1 for ev in config.events if ev.kind == RESPONSE)
+    """Operations that have returned in config, read from each process's
+    state (SysState.done), not from the event log."""
+    return sum(s.done for s in config.states)
 
 
 # --- reachability ------------------------------------------------------------
@@ -456,18 +450,13 @@ def classify_valence(
     reaches values no oldest-first schedule can. Every probe goes through
     the scenario's suffix memo (see _fair_run).
 
-    Bivalent and already-decided verdicts are absolute and cached by
-    behavioral key; bounded verdicts are not cached.
+    Bivalent and already-decided verdicts are absolute; bounded verdicts
+    are relative to `depth`.
     """
     depth = VALENCE_DEPTH if depth is None else depth
     v0 = scenario.decided(config)
     if v0 is not None:
         return Valence(_VALENT[v0], {v0: ()}, exhausted=True, depth=0)
-
-    key = scenario.vkey(config)
-    hit = scenario._absolute.get(key)
-    if hit is not None:
-        return hit
 
     certs: dict = {}
 
@@ -475,17 +464,16 @@ def classify_valence(
         if run.value is not TIMEOUT and run.value not in certs:
             certs[run.value] = prefix + run.history
 
+    # a crash of q is covered too: the staged probe's first run is the
+    # fair run without q
     record(fair_completion(scenario, config))
     for q in range(scenario.n):
         if 0 in certs and 1 in certs:
             break
         record(staged_probe(scenario, config, q))
-        record(fair_completion(scenario, config, crashed=q))
 
     if 0 in certs and 1 in certs:
-        out = Valence(ValenceTag.BIVALENT, certs, exhausted=False, depth=0)
-        scenario._absolute[key] = out
-        return out
+        return Valence(ValenceTag.BIVALENT, certs, exhausted=False, depth=0)
 
     # bounded breadth-first sweep of every scheduling choice; decided
     # classes settle their valence and are not expanded. The sweep is
@@ -503,15 +491,10 @@ def classify_valence(
                 record(fair_completion(scenario, nxt), hist)
             truncated = truncated or d >= depth
         if 0 in certs and 1 in certs:
-            out = Valence(ValenceTag.BIVALENT, certs, exhausted=False, depth=d)
-            scenario._absolute[key] = out
-            return out
+            return Valence(ValenceTag.BIVALENT, certs, exhausted=False, depth=d)
 
     if len(certs) == 1 and not truncated:
-        v = next(iter(certs))
-        out = Valence(_VALENT[v], certs, exhausted=True, depth=depth)
-        scenario._absolute[key] = out
-        return out
+        return Valence(_VALENT[next(iter(certs))], certs, exhausted=True, depth=depth)
     return Valence(ValenceTag.UNKNOWN_AT_BOUND, certs, exhausted=not truncated, depth=depth)
 
 
@@ -871,14 +854,11 @@ def _completion_rank(config: Configuration) -> int:
     bivalence with a completed op needs something still in flight to
     swing the decision. The rank only reorders the examination of each
     layer, so the audit never explores more than plain breadth-first.
-    One pass over the event log counts both kinds."""
-    invoked = completed = 0
-    for ev in config.events:
-        if ev.kind == INVOCATION:
-            invoked += 1
-        elif ev.kind == RESPONSE:
-            completed += 1
-    return 0 if 0 < completed < invoked else 1
+    Both facts are read from the process states: SysState.done and the
+    implementation's `pending`."""
+    states = config.states
+    completed = any(s.done for s in states)
+    return 0 if completed and any(s.impl.pending is not None for s in states) else 1
 
 
 # --- plain history-tree exploration (for the tree checkers) --------------------

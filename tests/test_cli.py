@@ -466,6 +466,16 @@ class TestDemo:
         )
         assert captured.out == ""
 
+    def test_init_bivalent_refuses_a_protocol_that_is_not_test_set(self, capsys):
+        # under the 2W1R driver the probes' orders fix no decision
+        for argv in ([], ["--n", "4"]):
+            code = main(["demo", "init-bivalent", "--protocol", "abd-reg"] + argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error: protocol 'abd-reg' is not a test/set object")
+        code, out = run_cli(capsys, "demo", "init-bivalent", "--protocol", "abd-tos")
+        assert code == 0 and out.endswith("[init-bivalent] PASS\n")
+
     def test_unknown_token_exits_two(self, capsys):
         # argparse rejects tokens outside the fixed choice list
         with pytest.raises(SystemExit) as exc:

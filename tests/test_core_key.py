@@ -84,8 +84,9 @@ class TestSysStateHash:
     def test_equality_compares_fields_only(self):
         state = build_scenario("naive-tos").system.init_state(0)
         assert [f.name for f in dataclasses.fields(SysState)] == [
-            "pc", "flags", "impl", "decided"]
+            "pc", "flags", "impl", "decided", "done"]
         assert state != dataclasses.replace(state, pc=state.pc + 1)
+        assert state != dataclasses.replace(state, done=state.done + 1)
         assert state != dataclasses.replace(state, decided=0)
         assert repr(state).startswith("SysState(pc=")
 

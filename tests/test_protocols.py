@@ -28,7 +28,7 @@ from linlab.protocols import (
     build_protocol,
 )
 from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
-from linlab.valence import Scenario, build_scenario, fair_completion, reach
+from linlab.valence import Scenario, build_scenario, completed_count, fair_completion, reach
 
 from conftest import buffer
 
@@ -264,14 +264,32 @@ class TestClassCounts:
     state that changes shape must still group configurations into
     exactly these classes."""
 
-    @pytest.mark.parametrize(
-        "name,n,classes,logs",
-        [("naive-tos", 2, 10, 8), ("naive-tos", 3, 18, 8),
-         ("abd-tos", 3, 8490, 13), ("abd-tos", 4, 23110, 8),
-         ("abd-reg", 3, 11825, 12), ("abd-reg", 4, 11285, 5),
-         ("trivial-ack", 4, 1340, 15), ("trivial-ack", 5, 8713, 11)],
-    )
+    COUNTS = [("naive-tos", 2, 10, 8), ("naive-tos", 3, 18, 8),
+              ("abd-tos", 3, 8490, 13), ("abd-tos", 4, 23110, 8),
+              ("abd-reg", 3, 11825, 12), ("abd-reg", 4, 11285, 5),
+              ("trivial-ack", 4, 1340, 15), ("trivial-ack", 5, 8713, 11)]
+
+    @pytest.mark.parametrize("name,n,classes,logs", COUNTS)
     def test_classes_and_event_logs_to_depth_10(self, name, n, classes, logs):
         s = build_scenario(name, n)
         configs = [config for config, _, _ in reach(s, s.initial(), 10)]
         assert (len(configs), len({c.events for c in configs})) == (classes, logs)
+
+    @pytest.mark.parametrize("name,n", [row[:2] for row in COUNTS])
+    def test_progress_in_state_matches_the_event_log(self, name, n):
+        # completed_count, the impl's pending and SysState.done say what
+        # the event log says, in every class to depth 10
+        s = build_scenario(name, n)
+        from_log = {}  # event log -> (responses per process, processes pending)
+        for config, _, _ in reach(s, s.initial(), 10):
+            if config.events not in from_log:
+                done = [0] * s.n
+                for ev in responses(config):
+                    done[ev.process] += 1
+                pending = {o.process for o in OpHistory(config.events).pending_ops()}
+                from_log[config.events] = done, pending
+            done, pending = from_log[config.events]
+            assert completed_count(config) == sum(done)
+            assert [st.done for st in config.states] == done
+            waiting = {p for p, st in enumerate(config.states) if st.impl.pending is not None}
+            assert waiting == pending

@@ -128,6 +128,26 @@ class TestClassifyValence:
         deep = classify_valence(s, config, depth=3)
         assert deep.tag is ValenceTag.BIVALENT
 
+    @pytest.mark.parametrize("name", ["naive-tos", "abd-tos", "abd-reg"])
+    def test_no_fair_run_repeats_within_one_classification(self, name, monkeypatch):
+        # a repeated (configuration, live set) can only return a run
+        # already recorded
+        s = build_scenario(name)
+        runs = []
+        fair_run = valence._fair_run
+
+        def spy(scenario, config, live, bound):
+            runs.append((config, tuple(live)))
+            return fair_run(scenario, config, live, bound)
+
+        monkeypatch.setattr(valence, "_fair_run", spy)
+        after, _ = apply_history(s.initial(), [Step(0, None)], s.system)
+        for config in (s.initial(), after):
+            runs.clear()
+            classify_valence(s, config)
+            keys = [(id(c), live) for c, live in runs]  # runs keeps each c alive
+            assert len(set(keys)) == len(keys)
+
     def test_valence_json_shape(self):
         s = build_scenario("naive-tos")
         out = classify_valence(s, s.initial()).to_json()
