@@ -344,6 +344,8 @@ def _demo_hbi(cfg, say) -> bool:
     scenario = build_scenario("abd-tos")
     _seed_rotation(scenario, cfg["seed"])
     rounds = _opt(cfg, "rounds", 3)
+    if rounds < 1:  # no round would schedule anything, yet the demo would pass
+        raise ConfigError(f"demo hbi needs rounds of at least 1, not {rounds}")
     report = build_hbi(scenario, rounds)
     say(
         f"abd-tos adversary: {report.rounds_completed}/{rounds} rounds, "

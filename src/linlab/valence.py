@@ -73,7 +73,17 @@ PROBE_DEPTH = 3  # the sweep fair-probes every class this shallow
 
 @dataclass
 class Scenario:
-    """A runnable experiment: protocol, driver, decision op, rotation."""
+    """A runnable experiment: protocol, driver, decision op, rotation.
+
+    It also holds the memos its searches share, none of which changes a
+    result: the fair-run suffixes (_fair_run), the intern table of the
+    compact keys (_compact_key), and the successor table of
+    classify_valence's sweeps (reach). Deep sweeps from nearby
+    configurations, as bivalent_successor's candidates are, overlap, so
+    a later sweep skips the steps an earlier one took to a class it has
+    already seen. No other sweep remembers: the audit's, the progress
+    sweep and bivalent_successor's own sweep leave the table as it was.
+    """
 
     built: BuiltProtocol
     rotation: Optional[tuple] = None
@@ -83,6 +93,10 @@ class Scenario:
     _ids: defaultdict = field(
         default_factory=lambda: defaultdict(count().__next__), repr=False, compare=False
     )
+    # successor table of classify_valence's sweeps (see reach): compact
+    # key -> per enabled step, the key of the child the step was a dedup
+    # hit on, None where it found a new class or was not taken
+    _successors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def system(self):
@@ -167,6 +181,7 @@ def reach(
     *,
     forbid: Optional[Step] = None,
     stop_decided: bool = False,
+    _successors: Optional[dict] = None,
 ):
     """Breadth-first sweep of the configurations reachable from start.
 
@@ -197,23 +212,47 @@ def reach(
     object from the send to its receipt.
 
     Steps go by their index in the inbox, and a Step is built only for
-    a yielded history. `seen` holds compact keys (_compact_key), which
-    are equal exactly when core keys are, so it keeps no configuration
-    alive. The core key holds the decision in the decider's state, so
-    no event log is read. Each frontier entry carries its key, and a
-    child that sent nothing interns only the parts its step replaced
-    (_child_key). A step whose apply_step returns `config` itself (an
-    idle receipt that changes nothing, see the model module) is a dedup
-    hit, sleepers included, with no key computed: config's own class is
-    in `seen` and expandable. A no-op that returns a new, equal
-    configuration takes the full path and hits `seen` the same way.
+    a yielded history. `seen` maps compact keys (_compact_key), which
+    are equal exactly when core keys are, each to the key object first
+    met for its class, so it keeps no configuration alive, and one
+    setdefault both tests a child and records it. The core key holds
+    the decision in the decider's state, so no event log is read. Each
+    frontier entry carries its key, and a child that sent nothing
+    interns only the parts its step replaced (_child_key). A step whose
+    apply_step returns `config` itself (an idle receipt that changes
+    nothing, see the model module) is a dedup hit, sleepers included,
+    with no key computed: config's own class is in `seen` and
+    expandable. A no-op that returns a new, equal configuration takes
+    the full path and hits `seen` the same way.
+
+    `_successors`, a successor table, is for stop_decided sweeps; only
+    classify_valence passes one (the scenario's). It maps a class's
+    compact key to one slot per enabled step, in enabled-step order.
+    A slot holds the compact key of the step's child when that step
+    was a dedup hit, at any layer, and the child is undecided; a decided
+    child is never expandable, so it always takes the full path. A
+    later sweep that meets the class skips such a step when the child
+    is in its `seen`: no apply_step and no key, and the sleepers are
+    unchanged, because the full path would have found the same
+    expandable class (at the last layer no sleepers are kept at all).
+    A remembered child not in `seen` is stepped under its remembered
+    key. This is exact: equal compact keys mean equal core keys, and
+    apply_step is deterministic on the core, so a slot's step lands in
+    one class from every member of its class. A step that found a new
+    class is not remembered: overlapping sweeps tend to find a class
+    first through the same step, so such a slot is seldom a hit later,
+    and it would hold most of the table's memory. The slot keeps the key
+    object `seen` first met, and a remembered child enters `seen` under
+    the slot's object, so the table and the sweeps share one tuple per
+    class where they can.
     """
     system = scenario.system
     ids = scenario._ids
     dp = scenario.decision_process
     stop = stop_decided and dp is not None
     key = _compact_key(ids, start)
-    seen = {key}
+    seen = {key: key}  # each class's key -> the key object first met for it
+    first_key = seen.setdefault
     yield start, (), 0
     # an entry is (config, key, history, sleepers, cut): c's sleepers
     # are the first `cut` of a list shared with its siblings, in
@@ -222,6 +261,7 @@ def reach(
     if depth > 0 and not (stop_decided and scenario.decided(start) is not None):
         layer.append((start, key, (), (), 0))
     fp, fm = (-1, None) if forbid is None else forbid
+    table = _successors
     d = 0
     while layer:
         d += 1
@@ -231,6 +271,8 @@ def reach(
             config, key, hist, sleepers, cut = layer.popleft()
             shared: list = []
             i = 0
+            kids = None if table is None else table.get(key)
+            off = 1  # kids[off + j] is the slot of the current process's j-th step
             for p, row in enumerate(config.inbox):
                 sibling_cut = len(shared)
                 for j, m in enumerate((None,) + row, -1):
@@ -245,18 +287,29 @@ def reach(
                             continue
                     if p == fp and m == fm:
                         continue
+                    known = None
+                    if kids is not None:
+                        known = kids[off + j]
+                        if known is not None and known in seen:  # a remembered dedup hit
+                            if keep:
+                                shared.append(p if m is None else m)
+                            continue
                     child = apply_step(config, (p, m), system, j)
                     if child is config:  # an idle no-op: config's own class
                         if keep:
                             shared.append(p)
                         continue
                     expandable = keep and not (stop and child.states[dp].decided is not None)
-                    child_key = _child_key(ids, child, config, key, p)
-                    size = len(seen)
-                    seen.add(child_key)  # one hash: a hit leaves seen's size as it was
-                    if len(seen) == size:
+                    child_key = _child_key(ids, child, config, key, p) if known is None else known
+                    first = first_key(child_key, child_key)
+                    if first is not child_key:  # a dedup hit
                         if expandable:
                             shared.append(p if m is None else m)
+                        if table is not None and (not stop or child.states[dp].decided is None):
+                            if kids is None:  # one slot per enabled step
+                                slots = len(config.inbox) + sum(map(len, config.inbox))
+                                kids = table[key] = [None] * slots
+                            kids[off + j] = first
                         continue
                     # m came from inbox[p], so Step's receiver check cannot fail
                     child_hist = hist + (tuple.__new__(Step, (p, m)),)
@@ -264,6 +317,7 @@ def reach(
                     if expandable:
                         below.append((child, child_key, child_hist, shared, sibling_cut))
                         shared.append(p if m is None else m)
+                off += len(row) + 1
         layer = below
 
 
@@ -448,7 +502,14 @@ def classify_valence(
     bounded sweep additionally runs a fair probe from every configuration
     within PROBE_DEPTH: a short out-of-order prefix plus a fair tail
     reaches values no oldest-first schedule can. Every probe goes through
-    the scenario's suffix memo (see _fair_run).
+    the scenario's suffix memo (see _fair_run). A sweep deeper than
+    PROBE_DEPTH also goes through the scenario's successor table (see
+    reach), so it does not step again what an earlier sweep stepped to
+    a class it has already seen; the verdict is the one a cold scenario
+    gives. A sweep no deeper fair-probes every class it reaches, so its
+    time goes to the probes: it remembers nothing, which leaves the
+    audit, whose candidates it classifies that shallow, with the memory
+    it had.
 
     Bivalent and already-decided verdicts are absolute; bounded verdicts
     are relative to `depth`.
@@ -480,7 +541,9 @@ def classify_valence(
     # truncated when an undecided class sits at `depth`, and it always
     # covers one layer, even at depth 0.
     truncated = False
-    for nxt, hist, d in reach(scenario, config, max(depth, 1), stop_decided=True):
+    table = scenario._successors if depth > PROBE_DEPTH else None
+    sweep = reach(scenario, config, max(depth, 1), stop_decided=True, _successors=table)
+    for nxt, hist, d in sweep:
         if d == 0:
             continue  # the configuration itself, probed above
         v = scenario.decided(nxt)
@@ -627,13 +690,16 @@ class HbiReport:
     completions: tuple  # response events appended along the way (want: none)
     rounds_completed: int
     stuck: Optional[HbiStuck]
+    initial: dict  # value -> history from the initial configuration, certified bivalent
 
     def certificates_at(self, index: int) -> dict:
         """Bivalence certificates for the configuration after `index`
         steps of the history: ride the current segment to its end, then
         use the end configuration's certificates. Valence never recovers
         once lost, so an ancestor of a certified-bivalent configuration
-        is itself bivalent via exactly this suffix construction."""
+        is itself bivalent via exactly this suffix construction. With no
+        segment, index 0 is the initial configuration, and its
+        certificates are the ones build_hbi certified it with."""
         if not 0 <= index <= len(self.history):
             raise IndexError(index)
         for seg in reversed(self.segments):
@@ -641,7 +707,7 @@ class HbiReport:
                 end = seg.start_index + seg.detour_len + 1
                 bridge = self.history[index:end]
                 return {v: bridge + h for v, h in seg.certificates.items()}
-        raise IndexError(index)
+        return dict(self.initial)
 
     def to_json(self) -> dict:
         return {
@@ -736,6 +802,7 @@ def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiRepo
         completions=completions,
         rounds_completed=rounds_done,
         stuck=stuck,
+        initial=dict(start.certificates),
     )
 
 
@@ -759,6 +826,12 @@ class AuditTriple:
         return make_triple_tree(self.base, self.branch0, self.branch1)
 
 
+_AUDIT_CHECKERS = {
+    "strong": strong_linearization_exists,
+    "write-strong": write_strong_linearization_exists,
+}
+
+
 def completed_implies_univalent_audit(
     scenario: Scenario,
     depth: int,
@@ -770,9 +843,10 @@ def completed_implies_univalent_audit(
     """Sweep reachable configurations for completed-yet-bivalent states.
 
     Every hit is packaged as the three-node tree {base, base+cert0,
-    base+cert1}, and the checker named by checker_mode runs on it (these
-    trees admit no strategy when the audit works as intended, and the
-    verdict is recorded on the triple).
+    base+cert1}, and the checker named by checker_mode, "strong" or
+    "write-strong", runs on it (these trees admit no strategy when the
+    audit works as intended, and the verdict is recorded on the triple).
+    Any other checker_mode or order is refused.
 
     order="completion-first" examines, within each depth, the classes
     that pair a completed operation with a pending one first, which
@@ -788,6 +862,16 @@ def completed_implies_univalent_audit(
     candidate is classified to PROBE_DEPTH: enough to hunt certificates,
     without paying for univalence confirmation at every completed node.
     """
+    checker = _AUDIT_CHECKERS.get(checker_mode)
+    if checker is None:
+        raise PreconditionViolated(
+            f"checker_mode must be one of {', '.join(map(repr, _AUDIT_CHECKERS))},"
+            f" not {checker_mode!r}"
+        )
+    if order not in ("bfs", "completion-first"):
+        raise PreconditionViolated(
+            f"order must be 'bfs' or 'completion-first', not {order!r}"
+        )
     system = scenario.system
     triples: list = []
 
@@ -808,11 +892,6 @@ def completed_implies_univalent_audit(
                     branch1=OpHistory(c1.events),
                     completed=tuple(f"{o.op}#{o.op_id}" for o in base.complete_ops()),
                     depth=d,
-                )
-                checker = (
-                    strong_linearization_exists
-                    if checker_mode == "strong"
-                    else write_strong_linearization_exists
                 )
                 triple.verdict = checker(triple.tree(), spec)
                 triples.append(triple)

@@ -456,6 +456,14 @@ class TestDemo:
         assert "stuck in round 3 at slot 2" in out
         assert "all traversed states bivalent" not in out
 
+    def test_hbi_refuses_rounds_below_one(self, capsys):
+        # with no round to schedule, the demo used to claim every process
+        # took a step and print PASS
+        code = main(["demo", "hbi", "--rounds", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: demo hbi needs rounds of at least 1, not 0\n"
+
     def test_init_bivalent_refuses_a_protocol_without_a_decision(self, capsys):
         # trivial-ack decides nothing, so its staged probes could only time out
         code = main(["demo", "init-bivalent", "--protocol", "trivial-ack"])

@@ -1,26 +1,35 @@
 """The step layer's memos change no result.
 
-ScriptedSystem memoizes transitions and every Scenario memoizes fair-run
-suffixes. A warm instance must answer exactly like a cold one: the same
-Effects, and fair runs with the same history, value and final
-configuration (event log and core).
+ScriptedSystem memoizes transitions, and every Scenario memoizes
+fair-run suffixes and the successors its deep classification sweeps
+step to. A warm instance must answer exactly like a cold one: the same
+Effects, fair runs with the same history, value and final configuration
+(event log and core), and the same verdicts and schedules.
 """
 
 import random
+import sys
+from itertools import permutations
 
 import pytest
 
 import linlab.valence as valence
 from conftest import random_walk, run_corpus
 from linlab.model import apply_history, enabled_steps
+from linlab.progress import check_1rlf
 from linlab.protocols import ScriptedSystem
 from linlab.seqspec import REG_SPEC, TOS_SPEC
 from linlab.valence import (
     TIMEOUT,
+    VALENCE_DEPTH,
+    ValenceTag,
+    _compact_key,
+    build_hbi,
     build_scenario,
     classify_valence,
     completed_implies_univalent_audit,
     fair_completion,
+    reach,
     staged_probe,
 )
 
@@ -134,3 +143,113 @@ class TestSuffixMemo:
         assert rest.value == full.value
         assert rest.final.events == full.final.events
         assert rest.final.core_key() == full.final.core_key()
+
+
+class Forgetful(dict):
+    """A successor table that remembers nothing: a cold scenario."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def cold_scenario(name, **kw):
+    s = build_scenario(name, **kw)
+    s._successors = Forgetful()
+    return s
+
+
+class TestSuccessorMemo:
+    @pytest.mark.parametrize("name,n,rotations", [
+        ("abd-tos", 3, list(permutations(range(3)))),
+        ("abd-tos", 4, [None]),
+        ("naive-tos", None, [None]),
+    ])
+    def test_warm_hbi_equals_cold(self, name, n, rotations):
+        # one warm scenario runs every rotation, and the first again last
+        warm = build_scenario(name, n=n)
+        for rotation in rotations + rotations[:1]:
+            warm.rotation = rotation
+            got = build_hbi(warm, rounds=3)
+            want = build_hbi(cold_scenario(name, n=n, rotation=rotation), rounds=3)
+            assert got.to_json() == want.to_json()
+            assert got.history == want.history
+            assert got.initial == want.initial
+            assert [g.certificates for g in got.segments] == [
+                w.certificates for w in want.segments
+            ]
+        if name == "abd-tos":
+            assert warm._successors  # the warm runs did remember
+
+    @pytest.mark.parametrize("name,depth", [
+        ("naive-tos", VALENCE_DEPTH),
+        ("abd-tos", VALENCE_DEPTH),
+        ("abd-reg", 6),  # its depth-8 sweeps take seconds
+    ])
+    def test_warm_classification_equals_cold(self, name, depth):
+        warm, cold = build_scenario(name), cold_scenario(name)
+        for config, _, _ in reach(warm, warm.initial(), 4):
+            got, want = classify_valence(warm, config, depth), classify_valence(cold, config, depth)
+            assert (got.tag, got.certificates, got.exhausted, got.depth) == (
+                want.tag, want.certificates, want.exhausted, want.depth
+            )
+        assert cold._successors == {}
+        if name != "naive-tos":
+            assert warm._successors
+
+    @pytest.mark.parametrize("name", ["naive-tos", "abd-tos", "abd-reg"])
+    def test_warm_sweep_yields_as_a_cold_one(self, name):
+        # the same classes, histories and depths, in the same order, from
+        # every class to depth 2 and a table warmed by all of them
+        s = build_scenario(name)
+        starts = [c for c, _, _ in reach(s, s.initial(), 2)]
+        for _ in range(2):  # the first pass fills the table, the second reads it
+            for start in starts:
+                warm = reach(s, start, 6, stop_decided=True, _successors=s._successors)
+                cold = reach(s, start, 6, stop_decided=True)
+                assert [(c.core_key(), h, d) for c, h, d in warm] == [
+                    (c.core_key(), h, d) for c, h, d in cold
+                ]
+        if name != "naive-tos":  # whose sweeps meet no undecided class twice
+            assert s._successors
+
+    def test_second_classification_steps_only_new_children(self, monkeypatch):
+        s = build_scenario("abd-tos")
+        # the first class to depth 2 that a depth-5 sweep cannot settle:
+        # its classification sweeps to the bound
+        config = next(
+            c for c, _, _ in reach(s, s.initial(), 2)
+            if classify_valence(build_scenario("abd-tos"), c, 5).tag is ValenceTag.UNKNOWN_AT_BOUND
+        )
+        real = valence.apply_step
+        calls = []  # (no-op?, decision, child key) of each step reach takes
+
+        def spy(cfg, step, system, i):
+            child = real(cfg, step, system, i)
+            if sys._getframe(1).f_code.co_name == "reach":
+                calls.append((child is cfg, s.decided(child), _compact_key(s._ids, child)))
+            return child
+
+        monkeypatch.setattr(valence, "apply_step", spy)
+        first = classify_valence(s, config, 5)
+        cold = len(calls)
+        calls.clear()
+        assert classify_valence(s, config, 5) == first
+        found = {_compact_key(s._ids, config)}  # the sweep's classes so far
+        for noop, decided, key in calls:
+            # idle no-ops and decided children are not remembered; every
+            # other step the sweep takes finds a class new to it
+            if not noop and decided is None:
+                assert key not in found
+            found.add(key)
+        assert len(calls) < cold
+
+    def test_other_sweeps_leave_the_table_empty(self):
+        s = build_scenario("abd-tos")
+        check_1rlf(s, depth=6)
+        completed_implies_univalent_audit(s, 8, TOS_SPEC, order="completion-first")
+        assert s._successors == {}
+        r = build_scenario("abd-reg")
+        completed_implies_univalent_audit(
+            r, 16, REG_SPEC, checker_mode="write-strong", max_triples=1, order="completion-first"
+        )
+        assert r._successors == {}

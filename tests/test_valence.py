@@ -214,6 +214,21 @@ class TestHbi:
             with pytest.raises(IndexError):
                 rep.certificates_at(index)
 
+    @pytest.mark.parametrize("name,rounds", [("naive-tos", 6), ("abd-tos", 0)])
+    def test_initial_certificates_without_a_segment(self, name, rounds):
+        # naive-tos is stuck at round 1, slot 0; rounds=0 schedules nothing
+        s = build_scenario(name)
+        rep = build_hbi(s, rounds=rounds)
+        assert rep.segments == [] and rep.history == ()
+        certs = rep.certificates_at(0)
+        assert set(certs) == {0, 1}
+        for v, cert in certs.items():
+            final, _ = apply_history(s.initial(), cert, s.system)
+            assert s.decided(final) == v
+        assert "initial" not in rep.to_json()
+        with pytest.raises(IndexError):
+            rep.certificates_at(1)
+
     def test_construction_is_deterministic(self):
         a = build_hbi(build_scenario("abd-tos"), rounds=3)
         b = build_hbi(build_scenario("abd-tos"), rounds=3)
@@ -331,6 +346,17 @@ class TestAudit:
                 t.base_history for t in sorted(layer, key=rank)
             ]
         assert [t.depth for t in first] == sorted(t.depth for t in first)
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"checker_mode": "sl"}, "checker_mode must be one of 'strong', 'write-strong', not 'sl'"),
+        ({"order": "dfs"}, "order must be 'bfs' or 'completion-first', not 'dfs'"),
+    ])
+    def test_unknown_checker_mode_or_order_is_refused(self, kw, message):
+        # each used to run silently: "sl" as write-strong, "dfs" as bfs
+        s = build_scenario("naive-tos")
+        with pytest.raises(PreconditionViolated) as exc:
+            completed_implies_univalent_audit(s, depth=14, spec=TOS_SPEC, **kw)
+        assert str(exc.value) == message
 
     def test_max_triples_short_circuits(self):
         s = build_scenario("naive-tos")
