@@ -78,11 +78,12 @@ class Scenario:
     It also holds the memos its searches share, none of which changes a
     result: the fair-run suffixes (_fair_run), the intern table of the
     compact keys (_compact_key), and the successor table of
-    classify_valence's sweeps (reach). Deep sweeps from nearby
+    classify_valence's sweeps (reach). Sweeps from nearby
     configurations, as bivalent_successor's candidates are, overlap, so
     a later sweep skips the steps an earlier one took to a class it has
-    already seen. No other sweep remembers: the audit's, the progress
-    sweep and bivalent_successor's own sweep leave the table as it was.
+    already seen. No other sweep remembers: the audit's outer sweep,
+    the progress sweep and bivalent_successor's own sweep leave the
+    table as it was.
     """
 
     built: BuiltProtocol
@@ -502,14 +503,10 @@ def classify_valence(
     bounded sweep additionally runs a fair probe from every configuration
     within PROBE_DEPTH: a short out-of-order prefix plus a fair tail
     reaches values no oldest-first schedule can. Every probe goes through
-    the scenario's suffix memo (see _fair_run). A sweep deeper than
-    PROBE_DEPTH also goes through the scenario's successor table (see
-    reach), so it does not step again what an earlier sweep stepped to
-    a class it has already seen; the verdict is the one a cold scenario
-    gives. A sweep no deeper fair-probes every class it reaches, so its
-    time goes to the probes: it remembers nothing, which leaves the
-    audit, whose candidates it classifies that shallow, with the memory
-    it had.
+    the scenario's suffix memo (see _fair_run). The sweep goes through
+    the scenario's successor table (see reach), so it does not step
+    again what an earlier sweep stepped to a class it has already seen;
+    the verdict is the one a cold scenario gives.
 
     Bivalent and already-decided verdicts are absolute; bounded verdicts
     are relative to `depth`.
@@ -541,8 +538,9 @@ def classify_valence(
     # truncated when an undecided class sits at `depth`, and it always
     # covers one layer, even at depth 0.
     truncated = False
-    table = scenario._successors if depth > PROBE_DEPTH else None
-    sweep = reach(scenario, config, max(depth, 1), stop_decided=True, _successors=table)
+    sweep = reach(
+        scenario, config, max(depth, 1), stop_decided=True, _successors=scenario._successors
+    )
     for nxt, hist, d in sweep:
         if d == 0:
             continue  # the configuration itself, probed above

@@ -1,8 +1,8 @@
 """The step layer's memos change no result.
 
 ScriptedSystem memoizes transitions, and every Scenario memoizes
-fair-run suffixes and the successors its deep classification sweeps
-step to. A warm instance must answer exactly like a cold one: the same
+fair-run suffixes and the successors its classification sweeps step
+to. A warm instance must answer exactly like a cold one: the same
 Effects, fair runs with the same history, value and final configuration
 (event log and core), and the same verdicts and schedules.
 """
@@ -243,13 +243,33 @@ class TestSuccessorMemo:
             found.add(key)
         assert len(calls) < cold
 
+    @pytest.mark.parametrize("name", sorted(AUDITS))
+    def test_warm_audit_equals_cold(self, name, monkeypatch):
+        # the audit's outer sweep remembers nothing, its classifications
+        # do: the second audit on the warm scenario reads the first's.
+        # Every verdict must agree, not only the bivalent ones that
+        # make triples.
+        depth, spec, order = AUDITS[name]
+        real = valence.classify_valence
+        verdicts = []
+
+        def spy(scenario, config, depth=None):
+            v = real(scenario, config, depth)
+            verdicts.append((v.tag, v.certificates, v.exhausted, v.depth))
+            return v
+
+        monkeypatch.setattr(valence, "classify_valence", spy)
+        want = completed_implies_univalent_audit(cold_scenario(name), depth, spec, order=order)
+        cold = verdicts[:]
+        warm = build_scenario(name)
+        for _ in range(2):
+            verdicts.clear()
+            assert completed_implies_univalent_audit(warm, depth, spec, order=order) == want
+            assert verdicts == cold
+        if name != "naive-tos":
+            assert warm._successors
+
     def test_other_sweeps_leave_the_table_empty(self):
         s = build_scenario("abd-tos")
         check_1rlf(s, depth=6)
-        completed_implies_univalent_audit(s, 8, TOS_SPEC, order="completion-first")
         assert s._successors == {}
-        r = build_scenario("abd-reg")
-        completed_implies_univalent_audit(
-            r, 16, REG_SPEC, checker_mode="write-strong", max_triples=1, order="completion-first"
-        )
-        assert r._successors == {}
