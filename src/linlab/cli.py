@@ -489,14 +489,19 @@ def _load_config(cfg: dict) -> dict:
 _INT_KEYS = ("n", "depth", "rounds", "crash", "seed", "max_nodes", "max_triples")
 
 
-def _check_ints(cfg: dict) -> None:
-    """Integers from a config file arrive unchecked, and a negative depth
-    or round count would otherwise run a search that vacuously holds. A
-    budget below 1 would stop a search before it looked at anything."""
+def _check_types(cfg: dict) -> None:
+    """Values from a config file arrive unchecked. A negative depth or
+    round count would run a search that vacuously holds, a budget below
+    1 would stop a search before it looked at anything, and an integer
+    out would name a file descriptor."""
     for name in _INT_KEYS:
         value = cfg.get(name)
         if value is not None and type(value) is not int:
             raise ConfigError(f"{name} must be an integer, not {value!r}")
+    for name in ("protocol", "mode", "out"):
+        value = cfg.get(name)
+        if value is not None and type(value) is not str:
+            raise ConfigError(f"{name} must be a string, not {value!r}")
     for name in ("depth", "rounds"):
         if cfg.get(name) is not None and cfg[name] < 0:
             raise ConfigError(f"{name} must not be negative, not {cfg[name]}")
@@ -521,15 +526,12 @@ def main(argv=None) -> int:
     command = cfg.pop("command")
     try:
         cfg = _load_config(cfg)
-        _check_ints(cfg)
+        _check_types(cfg)
         claim = cfg["claim"]
         _refuse_unread(command if claim is None else f"{command} {claim}", cfg)
         cfg["protocol"] = _opt(cfg, "protocol", "naive-tos")
         return _COMMANDS[command](cfg)
     except (ConfigError, SizeLimitError, PreconditionViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

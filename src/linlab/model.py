@@ -5,8 +5,8 @@ shared buffer of sent-but-not-yet-received messages. A step is a pair
 (p, m): process p receives message m, or nothing when m is the idle
 receipt (None). Given the received value, the process transitions
 deterministically: it moves to a new local state, sends a finite set of
-messages, and may append operation events to the global log. All
-nondeterminism lives in the scheduler's choice of steps.
+messages, and may emit operation events. All nondeterminism lives in
+the scheduler's choice of steps.
 
 The buffer is kept as one inbox per receiver: a tuple of the messages
 addressed to it, oldest first by (seq, sender). Each message in a
@@ -15,13 +15,17 @@ has exactly one such layout and the inboxes compare, and key, exactly
 as the set of messages would. Listing a process's pending messages is
 then an index.
 
+A configuration is the process states and the buffer, nothing else.
+The event log is a function of the schedule that reached it, so it is
+not stored: logged_events replays it where a report prints one.
+
 Configurations are immutable; applying a step yields a configuration
 and never mutates its input, so exploration code may share them freely.
 A step that changes nothing, an idle receipt whose effect keeps the
-same state object, sends nothing and logs nothing, returns its input
-configuration itself. Callers may use `child is config` as a cheap
-"nothing changed" test, but a step that changes nothing by value can
-still return a new, equal configuration.
+same state object and sends nothing, returns its input configuration
+itself. Callers may use `child is config` as a cheap "nothing changed"
+test, but a step that changes nothing by value can still return a new,
+equal configuration.
 
 Message identity is (seq, sender, receiver, payload) where seq counts
 sends per directed channel; identity therefore does not depend on the
@@ -33,12 +37,11 @@ payloads.
 Steps of distinct processes commute. Each reads and writes only its own
 process's state and channel row, and consumes a message addressed to
 its own process, so either step stays enabled after the other, and
-both orders give the same states, inboxes (payloads included) and
-channels. Each step appends only its own process's events, so the two
-event logs differ only in interleaving. A decision is kept in the
-deciding process's state, so both orders reach one core key, which is
-the valence class (Scenario.vkey); that is what lets valence.reach put
-such steps to sleep.
+both orders reach one configuration: the same states, the decision
+among them, inboxes (payloads included) and channels, so one valence
+class (Scenario.vkey). That is what lets valence.reach put such steps
+to sleep. Each step emits only its own process's events, so the two
+orders' logs differ only in interleaving.
 
 Message, Step and Configuration are named tuples, so building, hashing
 and comparing them runs in C. A consequence: they also compare equal to
@@ -123,7 +126,7 @@ class Step(_StepFields):
 
 @dataclass(frozen=True)
 class Effect:
-    """What one transition does: new state, sends, appended events."""
+    """What one transition does: new state, sends, emitted events."""
 
     state: object
     sends: tuple = ()  # tuple of (receiver, payload)
@@ -131,30 +134,27 @@ class Effect:
 
 
 class Configuration(NamedTuple):
-    """Global system state: per-process states, inboxes, event log.
+    """Global system state: per-process states and inboxes.
 
     inbox[p] holds the buffered messages addressed to p, oldest first by
     (seq, sender); see the module docstring for why that layout is
     unique. channels[p][q] is the number of messages p has sent to q so
-    far; it feeds seq numbers for new sends. The number of steps taken
-    is not recorded: it is the length of the history that led here.
+    far; it feeds seq numbers for new sends. Neither the number of steps
+    taken nor the event log is recorded: both are functions of the
+    history that led here (see logged_events).
     """
 
     states: tuple
     inbox: tuple  # tuple[tuple[Message, ...], ...], one row per receiver
-    events: tuple  # tuple[OperationEvent]
     channels: tuple  # tuple[tuple[int, ...], ...]
 
     def core_key(self) -> tuple:
-        """The forward-behavior core as a hashable value: states, inboxes
-        (payloads included, see Message) and channels."""
+        """The configuration as a plain tuple, its core key: states,
+        inboxes (payloads included, see Message) and channels."""
         return (self.states, self.inbox, self.channels)
 
     def __repr__(self) -> str:
-        return (
-            f"Configuration(buffered={sum(map(len, self.inbox))}, "
-            f"events={len(self.events)})"
-        )
+        return f"Configuration(buffered={sum(map(len, self.inbox))})"
 
 
 def initial_configuration(protocol) -> Configuration:
@@ -163,7 +163,6 @@ def initial_configuration(protocol) -> Configuration:
     return Configuration(
         states=tuple(protocol.init_state(p) for p in range(n)),
         inbox=((),) * n,
-        events=(),
         channels=tuple(tuple(0 for _ in range(n)) for _ in range(n)),
     )
 
@@ -199,9 +198,9 @@ def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -
 
     Deterministic and pure: same inputs, same output, inputs untouched.
     An idle receipt whose effect keeps the same state object and sends
-    and logs nothing returns `config` itself. A caller may pass the
-    received message's index `i` in config.inbox[process], -1 for the
-    idle receipt, to skip looking it up; the step must then match it.
+    nothing returns `config` itself. A caller may pass the received
+    message's index `i` in config.inbox[process], -1 for the idle
+    receipt, to skip looking it up; the step must then match it.
     """
     p, received = step
     if i is None:
@@ -209,7 +208,7 @@ def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -
     states = config.states
     effect = protocol.transition(states[p], received)
     sends = effect.sends
-    if i < 0 and not sends and not effect.events and effect.state is states[p]:
+    if i < 0 and not sends and effect.state is states[p]:
         return config
 
     inbox = list(config.inbox)
@@ -226,12 +225,7 @@ def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -
 
     states = list(states)
     states[p] = effect.state
-    return Configuration(
-        tuple(states),
-        tuple(inbox),
-        config.events + tuple(effect.events) if effect.events else config.events,
-        channels,
-    )
+    return Configuration(tuple(states), tuple(inbox), channels)
 
 
 def post(inbox: list, count: list, p: int, sends) -> None:
@@ -267,6 +261,20 @@ def apply_history(
     return current, trace
 
 
+def logged_events(config: Configuration, history: Sequence[Step], protocol) -> tuple:
+    """The operation events that taking `history`, which must apply,
+    from `config` logs: each step's effect events, in order. An effect
+    depends only on its process's state and the receipt, so only the
+    states are replayed."""
+    states = list(config.states)
+    events: list = []
+    for p, received in history:
+        effect = protocol.transition(states[p], received)
+        states[p] = effect.state
+        events.extend(effect.events)
+    return tuple(events)
+
+
 def enabled_steps(config: Configuration, process: int) -> tuple[Step, ...]:
     """Steps available to `process`: the idle receipt, then one receipt
     per pending message, oldest first."""
@@ -284,7 +292,7 @@ def trace_records(
             "step_index": i,
             "process": step.process,
             "message_uid": None if step.received is None else step.received.uid,
-            "events_emitted": [ev.to_json() for ev in nxt.events[len(current.events):]],
+            "events_emitted": [ev.to_json() for ev in logged_events(current, (step,), protocol)],
             "buffer_size": sum(map(len, nxt.inbox)),
         }
         for i, (step, current, nxt) in enumerate(zip(history, trace, trace[1:]))

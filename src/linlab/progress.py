@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .model import Step, post
+from .model import Step, logged_events, post
 from .protocols import PROTOCOLS
 from .seqspec import RESPONSE, OpHistory
 from .valence import FAIR_BOUND, Scenario, build_scenario, reach
@@ -162,14 +162,16 @@ def _sweep(scenario: Scenario, depth: int, crash_choices):
     choice with a surviving pending operation, demand fair progress.
 
     Which processes wait on an operation is read from their states (the
-    implementation's `pending`); the event log only labels a witness.
+    implementation's `pending`); only a witness's labels are read from
+    the event log, replayed from its base history.
 
     Returns (witness, checked, truncated). The sweep is truncated when
     some class lies beyond `depth`: the first class reach yields at
     depth + 1 ends it. A witness ends it early too, so the sweep is
     then truncated as well."""
     checked = 0
-    for config, hist, d in reach(scenario, scenario.initial(), depth + 1):
+    init = scenario.initial()
+    for config, hist, d in reach(scenario, init, depth + 1):
         if d > depth:
             return None, checked, True
         checked += 1
@@ -182,7 +184,7 @@ def _sweep(scenario: Scenario, depth: int, crash_choices):
             if stall is not None:
                 survivors = tuple(
                     f"{o.op}#{o.op_id}@p{o.process}"
-                    for o in OpHistory(config.events).pending_ops()
+                    for o in OpHistory(logged_events(init, hist, scenario.system)).pending_ops()
                     if o.process not in crashed
                 )
                 witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .checkers import (
     ExecutionTree,
@@ -50,10 +50,10 @@ from .model import (
     NotApplicable,
     PreconditionViolated,
     Step,
-    apply_history,
     apply_step,
     applicable,
     initial_configuration,
+    logged_events,
 )
 from .protocols import BuiltProtocol, build_protocol
 from .seqspec import OpHistory, RESPONSE
@@ -332,44 +332,23 @@ class FairRun:
     final: Configuration
 
 
-class _Suffix(NamedTuple):
-    """How a fair run that decided or went quiescent went on from one of
-    its round boundaries: the run, and where the boundary sits in its
-    history and in its final event log."""
-
-    run: FairRun
-    offset: int
-    logged: int
-
-    def resume(self, history: list, current: Configuration) -> FairRun:
-        """The whole run for a caller that reached this boundary at
-        `current` after taking `history`."""
-        tail = self.run.history[self.offset:]
-        end = self.run.final
-        final = Configuration(
-            states=end.states,
-            inbox=end.inbox,
-            events=current.events + end.events[self.logged:],
-            channels=end.channels,
-        )
-        return FairRun(tuple(history) + tail, self.run.value, final)
-
-
 def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> FairRun:
     """Round-robin over live processes, oldest message first, until the
     decision returns, the system stops changing, or the bound is hit.
 
     The decision is read from the decider's state (SysState.decided).
     What happens after a round boundary depends only on the boundary's
-    core key and the live processes, as long as the steps left cover
-    it, so every boundary of a run that decided or went quiescent is
-    remembered in the scenario's suffix memo, keyed by the boundary's
-    compact key (_compact_key) and the live processes. A later run that
-    reaches a remembered boundary with at least the suffix's length
-    left takes the suffix instead of stepping it again; the resumed
-    history, value, event log and core equal those of the stepped run.
-    A run cut at the bound is not remembered. A round that leaves the
-    compact key as it was leaves the run quiescent.
+    configuration and the live processes, as long as the steps left
+    cover it, so every boundary of a run that decided or went quiescent
+    is remembered in the scenario's suffix memo, keyed by the boundary's
+    compact key (_compact_key) and the live processes, as the run and
+    the boundary's offset in its history. A later run that reaches a
+    remembered boundary with at least the suffix's length left takes
+    the suffix instead of stepping it again: its history is the steps
+    it took plus the run's from the offset on, and its value and final
+    configuration are the run's own. A run cut at the bound is not
+    remembered. A round that leaves the compact key as it was leaves
+    the run quiescent.
     """
     system = scenario.system
     dp = scenario.decision_process
@@ -381,17 +360,19 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
         return FairRun((), TIMEOUT, config)
     ids = scenario._ids
     memo = scenario._suffixes
-    boundaries: list = []  # (memo key, history offset, event-log length)
+    boundaries: list = []  # (memo key, history offset)
     history: list = []
     current = config
     key = _compact_key(ids, config)
     run = None
     while len(history) < bound:
         hit = memo.get((key, live))
-        if hit is not None and len(hit.run.history) - hit.offset <= bound - len(history):
-            run = hit.resume(history, current)
-            break
-        boundaries.append(((key, live), len(history), len(current.events)))
+        if hit is not None:
+            done, offset = hit  # a run that decided or went quiescent
+            if len(done.history) - offset <= bound - len(history):
+                run = FairRun(tuple(history) + done.history[offset:], done.value, done.final)
+                break
+        boundaries.append(((key, live), len(history)))
         for p in live:
             row = current.inbox[p]
             m = row[0] if row else None
@@ -412,8 +393,8 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             break
     if run is None:
         return FairRun(tuple(history), TIMEOUT, current)
-    for boundary, offset, logged in boundaries:
-        memo[boundary] = _Suffix(run, offset, logged)
+    for boundary, offset in boundaries:
+        memo[boundary] = (run, offset)
     return run
 
 
@@ -685,7 +666,7 @@ class HbiReport:
     rotation: tuple
     history: tuple
     segments: list
-    completions: tuple  # response events appended along the way (want: none)
+    completions: tuple  # response events logged along the way (want: none)
     rounds_completed: int
     stuck: Optional[HbiStuck]
     initial: dict  # value -> history from the initial configuration, certified bivalent
@@ -790,7 +771,7 @@ def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiRepo
         rounds_done = r
 
     completions = tuple(
-        ev for ev in current.events[len(init.events):] if ev.kind == RESPONSE
+        ev for ev in logged_events(init, history, scenario.system) if ev.kind == RESPONSE
     )
     return HbiReport(
         scenario=scenario.name,
@@ -871,23 +852,22 @@ def completed_implies_univalent_audit(
             f"order must be 'bfs' or 'completion-first', not {order!r}"
         )
     system = scenario.system
+    init = scenario.initial()
     triples: list = []
 
-    classes = reach(scenario, scenario.initial(), depth, stop_decided=True)
+    classes = reach(scenario, init, depth, stop_decided=True)
     if order == "completion-first":
         classes = _by_rank(classes, _completion_rank)
     for current, hist, d in classes:
         if completed_count(current) > 0 and scenario.decided(current) is None:
             cls = classify_valence(scenario, current, depth=PROBE_DEPTH)
             if cls.is_bivalent:
-                c0, _ = apply_history(current, cls.certificates[0], system)
-                c1, _ = apply_history(current, cls.certificates[1], system)
-                base = OpHistory(current.events)
+                base = OpHistory(logged_events(init, hist, system))
                 triple = AuditTriple(
                     base_history=hist,
                     base=base,
-                    branch0=OpHistory(c0.events),
-                    branch1=OpHistory(c1.events),
+                    branch0=OpHistory(logged_events(init, hist + cls.certificates[0], system)),
+                    branch1=OpHistory(logged_events(init, hist + cls.certificates[1], system)),
                     completed=tuple(f"{o.op}#{o.op_id}" for o in base.complete_ops()),
                     depth=d,
                 )
@@ -949,14 +929,15 @@ def explore_history_tree(
     No deduplication: distinct schedules are distinct nodes, which is
     exactly what the strategy checkers quantify over. Guarded by
     max_nodes since the tree is exponential in depth. Steps go by their
-    index in the inbox, in enabled-step order. Nodes with equal event
-    logs hold one OpHistory object.
+    index in the inbox, in enabled-step order. A node's history is its
+    parent's extended by the events its step's effect emits, and nodes
+    with equal event logs hold one OpHistory object.
     """
     system = scenario.system
-    init = scenario.initial()
-    tree = ExecutionTree(OpHistory(init.events))
-    histories = {init.events: tree.nodes[0].history}  # event log -> its one OpHistory
-    frontier = deque([(init, 0, 0)])
+    transition = system.transition
+    tree = ExecutionTree(OpHistory())
+    histories = {(): tree.nodes[0].history}  # event log -> its one OpHistory
+    frontier = deque([(scenario.initial(), 0, 0)])
     count = 1
     while frontier:
         cfg, nid, d = frontier.popleft()
@@ -971,8 +952,12 @@ def explore_history_tree(
                     raise SizeLimitError(
                         f"history tree exceeds {max_nodes} nodes at depth {d + 1}"
                     )
-                child = history if nxt.events is cfg.events else histories.get(nxt.events)
-                if child is None:
-                    child = histories[nxt.events] = OpHistory(nxt.events)
+                emitted = transition(cfg.states[p], m).events
+                child = history
+                if emitted:  # else the node shares its parent's history
+                    log = history.events + emitted
+                    child = histories.get(log)
+                    if child is None:
+                        child = histories[log] = OpHistory(log)
                 frontier.append((nxt, tree.add_node(child, nid), d + 1))
     return tree

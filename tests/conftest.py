@@ -19,6 +19,7 @@ from linlab.model import (
     applicable,
     apply_step,
     enabled_steps,
+    logged_events,
 )
 from linlab.seqspec import DONE, IllegalOp
 from linlab.valence import Scenario, build_scenario
@@ -77,12 +78,12 @@ def perm_linearizable(h, spec):
     return False
 
 
-def events_equal_mod_interleaving(c1: Configuration, c2: Configuration) -> bool:
+def events_equal_mod_interleaving(log1: tuple, log2: tuple) -> bool:
     """Event logs agree per process (global interleaving may differ)."""
-    procs = set(ev.process for ev in c1.events) | set(ev.process for ev in c2.events)
+    procs = set(ev.process for ev in log1) | set(ev.process for ev in log2)
     for p in procs:
-        e1 = tuple(ev for ev in c1.events if ev.process == p)
-        e2 = tuple(ev for ev in c2.events if ev.process == p)
+        e1 = tuple(ev for ev in log1 if ev.process == p)
+        e2 = tuple(ev for ev in log2 if ev.process == p)
         if e1 != e2:
             return False
     return True
@@ -91,10 +92,10 @@ def events_equal_mod_interleaving(c1: Configuration, c2: Configuration) -> bool:
 def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
     """Do e1 and e2 (distinct processes) commute at config?
 
-    True iff applying them in either order yields the same core key
-    (states, inboxes with payloads, channels), with event logs equal up
-    to the interleaving of the two processes' events.
-    Both orders must be applicable.
+    True iff applying them in either order yields the same configuration
+    (states, inboxes with payloads, channels), and the events the two
+    orders log are equal up to the interleaving of the two processes'
+    events. Both orders must be applicable.
     """
     if e1.process == e2.process:
         raise PreconditionViolated("commute_check needs steps of distinct processes")
@@ -102,9 +103,8 @@ def commute_check(config: Configuration, e1: Step, e2: Step, protocol) -> bool:
         raise PreconditionViolated("both steps must be applicable to the configuration")
     c12 = apply_step(apply_step(config, e1, protocol), e2, protocol)
     c21 = apply_step(apply_step(config, e2, protocol), e1, protocol)
-    return (
-        c12.core_key() == c21.core_key()
-        and events_equal_mod_interleaving(c12, c21)
+    return c12.core_key() == c21.core_key() and events_equal_mod_interleaving(
+        logged_events(config, (e1, e2), protocol), logged_events(config, (e2, e1), protocol)
     )
 
 
@@ -160,8 +160,8 @@ def random_tree(scenario, rng):
     from linlab.checkers import ExecutionTree
     from linlab.seqspec import OpHistory
 
-    config, _ = random_walk(scenario, rng, rng.randrange(2, 12))
-    tree = ExecutionTree(OpHistory(config.events))
+    config, hist = random_walk(scenario, rng, rng.randrange(2, 12))
+    tree = ExecutionTree(OpHistory(logged_events(scenario.initial(), hist, scenario.system)))
     frontier = [(config, tree.root)]
     for _ in range(rng.randrange(1, 3)):
         nxt = []
@@ -170,7 +170,8 @@ def random_tree(scenario, rng):
                 steps = enabled_steps(cfg, p)
                 step = rng.choice(steps)
                 child = apply_step(cfg, step, scenario.system)
-                cid = tree.add_node(OpHistory(child.events), nid)
+                log = tree.nodes[nid].history.events + logged_events(cfg, (step,), scenario.system)
+                cid = tree.add_node(OpHistory(log), nid)
                 nxt.append((child, cid))
                 if len(tree) >= 7:
                     return tree

@@ -1,17 +1,22 @@
-"""The benchmark's tracer against the package it patches.
+"""The benchmark's tracer and workloads against the package they drive.
 
 bench/tracer.py wraps linlab functions and methods by name. A refactor
 that renames or moves one of them breaks traced benchmark runs, so this
 file installs the tracer (read from bench/, never edited), checks the
 count that bench/run.py's self-check relies on, and checks that
 uninstalling it puts every original back. It also binds every keyword
-bench/workloads.py passes, so that a sweep cannot drop one unseen.
+bench/workloads.py passes, so that a sweep cannot drop one unseen, and
+runs one pass of each workload against the verdict table the benchmark
+checks every job by, since some of its rows no other test asserts.
 """
 
 import importlib.util
 import inspect
+import random
 import sys
 from pathlib import Path
+
+import pytest
 
 import linlab
 import linlab.checkers
@@ -20,14 +25,24 @@ import linlab.progress
 import linlab.seqspec
 from linlab import valence
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    """bench/<name>.py, read as a module of its own. It is registered
+    while it runs, because a dataclass looks its module up."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracer")
 
 
 def bindings(tr) -> dict:
@@ -81,3 +96,13 @@ def test_every_keyword_the_workloads_pass_still_binds():
     for fn, args, kw in calls:
         inspect.signature(fn).bind(*args, **kw)  # raises TypeError if one is gone
     assert built.system.num_processes == 4
+
+
+@pytest.mark.parametrize("workload", ["audit", "adversary", "progress", "queries"])
+def test_one_pass_of_each_workload_gives_the_expected_verdicts(workload):
+    # one pass as bench/run.py builds it for --seed 1
+    workloads = load_bench("workloads")
+    jobs = workloads.WORKLOADS[workload](random.Random(f"{workload}:1"))
+    assert jobs
+    got = [(job.label, job.verdict(job.call(job.build()))) for job in jobs]
+    assert got == [(job.label, job.expect) for job in jobs]

@@ -21,6 +21,7 @@ from linlab.checkers import (
     strong_linearization_exists,
     write_strong_linearization_exists,
 )
+from linlab.model import logged_events
 from linlab.seqspec import (
     DONE,
     READ,
@@ -112,8 +113,8 @@ class TestLinearizations:
             s = build_scenario(name)
             spec = s.built.spec
             for _ in range(25):
-                config, _ = random_walk(s, rng, rng.randrange(3, 22))
-                h = OpHistory(config.events)
+                _, hist = random_walk(s, rng, rng.randrange(3, 22))
+                h = OpHistory(logged_events(s.initial(), hist, s.system))
                 assert (is_linearizable(h, spec) is not None) == perm_linearizable(
                     h, spec
                 )

@@ -324,6 +324,28 @@ class TestConfigHandling:
         assert (code, captured.out) == (2, "")
         assert f"{key} must be an integer" in captured.err
 
+    @pytest.mark.parametrize("key", ["protocol", "mode", "out"])
+    @pytest.mark.parametrize("value", [["abd-tos"], 987, 2.5], ids=repr)
+    def test_non_string_config_value_is_refused(self, capsys, tmp_path, key, value):
+        # a list protocol used to end in a TypeError traceback, and an
+        # integer out was opened as a file descriptor (987 is none)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        code = main(["check", "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"{key} must be a string, not {value!r}" in captured.err
+
+    def test_a_fault_inside_a_command_is_not_a_config_error(self, monkeypatch):
+        # names are checked before a command runs, so a KeyError from
+        # inside one is a fault of the program and must not exit 2
+        def faulty(cfg):
+            raise KeyError("fault")
+
+        monkeypatch.setitem(cli._COMMANDS, "valence", faulty)
+        with pytest.raises(KeyError):
+            main(["valence"])
+
     @pytest.mark.parametrize(
         "argv",
         [

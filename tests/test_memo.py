@@ -141,8 +141,20 @@ class TestSuffixMemo:
         assert count_steps[0] == before
         assert rest.history == full.history[2 * s.n:]
         assert rest.value == full.value
-        assert rest.final.events == full.final.events
         assert rest.final.core_key() == full.final.core_key()
+
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_resumed_run_returns_the_stepped_runs_final(self, name):
+        # a run resumed at any round boundary of a finished run is that
+        # run's tail, ending in the very configuration object it reached
+        s = build_scenario(name)
+        full = fair_completion(s, s.initial())
+        assert len(full.history) < valence.FAIR_BOUND  # finished, so remembered
+        for offset in range(s.n, len(full.history), s.n):
+            boundary, _ = apply_history(s.initial(), full.history[:offset], s.system)
+            rest = fair_completion(s, boundary)
+            assert rest.history == full.history[offset:]
+            assert rest.final is full.final
 
 
 class Forgetful(dict):

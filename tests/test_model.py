@@ -19,9 +19,11 @@ from linlab.model import (
     applicable,
     enabled_steps,
     initial_configuration,
+    logged_events,
     trace_records,
 )
-from linlab.valence import build_scenario
+from linlab.seqspec import OpHistory
+from linlab.valence import build_scenario, reach
 
 from conftest import audit_buffer_conservation, buffer, commute_check, random_walk
 
@@ -51,17 +53,39 @@ class TestMessageIdentity:
         ca = Configuration(
             states=init.states,
             inbox=((a,),) + init.inbox[1:],
-            events=init.events,
             channels=init.channels,
         )
         cb = Configuration(
             states=init.states,
             inbox=((b,),) + init.inbox[1:],
-            events=init.events,
             channels=init.channels,
         )
         assert buffer(ca) != buffer(cb)
         assert ca.core_key() != cb.core_key()
+
+
+class TestLoggedEvents:
+    def test_a_configuration_is_states_inboxes_and_channels(self):
+        assert Configuration._fields == ("states", "inbox", "channels")
+
+    @pytest.mark.parametrize("name", ["naive-tos", "abd-tos", "abd-reg", "trivial-ack"])
+    def test_the_log_replayed_for_each_class_agrees_with_its_states(self, name):
+        # the log of each class's history is well formed (OpHistory
+        # refuses it otherwise) and says what the process states say:
+        # returned operations, operations in flight and the decision
+        s = build_scenario(name)
+        init = s.initial()
+        dp, op = s.decision_process, s.system.driver.decision_op
+        for config, hist, _ in reach(s, init, 8):
+            h = OpHistory(logged_events(init, hist, s.system))
+            done = [0] * s.n
+            for o in h.complete_ops():
+                done[o.process] += 1
+            assert [st.done for st in config.states] == done
+            waiting = {p for p, st in enumerate(config.states) if st.impl.pending is not None}
+            assert {o.process for o in h.pending_ops()} == waiting
+            decisions = [o.value for o in h.complete_ops() if o.process == dp and o.op.name == op]
+            assert s.decided(config) == (decisions[-1] if decisions else None)
 
 
 class TestStepApplication:
@@ -90,7 +114,8 @@ class TestStepApplication:
         replay2, _ = apply_history(s.initial(), hist, s.system)
         assert replay1 == replay2
         assert replay1.core_key() == replay2.core_key()
-        assert replay1.events == replay2.events
+        assert trace_records(s.initial(), hist, s.system) == trace_records(
+            s.initial(), hist, s.system)
 
     def test_receiving_absent_message_rejected(self):
         s = build_scenario("naive-tos")
@@ -153,7 +178,7 @@ class TestInbox:
                 counts[r] += 1
             assert buffer(child) == (buffer(config) - {step.received}) | sent
 
-            idle = step.received is None and not effect.sends and not effect.events
+            idle = step.received is None and not effect.sends
             assert (child is config) == (idle and effect.state is config.states[p])
             if idle and effect.state == config.states[p]:
                 assert child == config
@@ -275,6 +300,16 @@ class TestTraceRecords:
             assert rec["process"] == step.process
             expect = None if step.received is None else step.received.uid
             assert rec["message_uid"] == expect
+
+    @pytest.mark.parametrize("name", ["naive-tos", "abd-tos", "abd-reg", "trivial-ack"])
+    def test_emitted_events_concatenate_to_the_logged_ones(self, name):
+        s = build_scenario(name)
+        for seed in range(6):
+            _, hist = random_walk(s, random.Random(seed), 20)
+            records = trace_records(s.initial(), hist, s.system)
+            emitted = [ev for rec in records for ev in rec["events_emitted"]]
+            logged = logged_events(s.initial(), hist, s.system)
+            assert emitted == [ev.to_json() for ev in logged]
 
     def test_a_step_that_cannot_apply_is_refused_with_its_index(self):
         s = build_scenario("abd-reg")

@@ -13,6 +13,7 @@ from linlab.model import (
     apply_step,
     enabled_steps,
     initial_configuration,
+    logged_events,
 )
 from linlab.protocols import (
     OPID_STRIDE,
@@ -33,59 +34,74 @@ from linlab.valence import Scenario, build_scenario, completed_count, fair_compl
 from conftest import buffer
 
 
-def responses(config):
-    return [ev for ev in config.events if ev.kind == RESPONSE]
+def responses(events):
+    return [ev for ev in events if ev.kind == RESPONSE]
+
+
+class Run:
+    """A configuration and the events logged by the steps that reached
+    it from the initial one."""
+
+    def __init__(self, system):
+        self.system = system
+        self.config = initial_configuration(system)
+        self.events = ()
+
+    def step(self, p, m=None):
+        step = Step(p, m)
+        self.events += logged_events(self.config, (step,), self.system)
+        self.config = apply_step(self.config, step, self.system)
+        return self.config
 
 
 class TestNaiveTos:
     def test_set_invocation_broadcasts(self):
         s = build_scenario("naive-tos")
-        init = s.initial()
-        config = apply_step(init, Step(1, None), s.system)
-        assert len(buffer(config)) > len(buffer(init))
-        assert not responses(config)
+        run = Run(s.system)
+        config = run.step(1)
+        assert len(buffer(config)) > len(buffer(s.initial()))
+        assert not responses(run.events)
         # one more local step completes the SET, no acks involved
-        config = apply_step(config, Step(1, None), s.system)
-        assert [ev.value for ev in responses(config)] == ["done"]
+        run.step(1)
+        assert [ev.value for ev in responses(run.events)] == ["done"]
 
     def test_stale_test_returns_zero_after_completed_set(self):
-        s = build_scenario("naive-tos")
-        config = apply_step(s.initial(), Step(1, None), s.system)
-        config = apply_step(config, Step(1, None), s.system)
-        assert responses(config)  # SET is complete, broadcast still in flight
-        config = apply_step(config, Step(0, None), s.system)
-        vals = [ev.value for ev in responses(config) if ev.op.name == "TEST"]
+        run = Run(build_scenario("naive-tos").system)
+        run.step(1)
+        run.step(1)
+        assert responses(run.events)  # SET is complete, broadcast still in flight
+        run.step(0)
+        vals = [ev.value for ev in responses(run.events) if ev.op.name == "TEST"]
         assert vals == [0]
 
     def test_delivered_set_flips_the_tester(self):
-        s = build_scenario("naive-tos")
-        config = apply_step(s.initial(), Step(1, None), s.system)
+        run = Run(build_scenario("naive-tos").system)
+        config = run.step(1)
         for m in sorted(buffer(config), key=lambda m: m.uid):
             if m.receiver == 0:
-                config = apply_step(config, Step(0, m), s.system)
-        config = apply_step(config, Step(0, None), s.system)
-        vals = [ev.value for ev in responses(config) if ev.op.name == "TEST"]
+                run.step(0, m)
+        run.step(0)
+        vals = [ev.value for ev in responses(run.events) if ev.op.name == "TEST"]
         assert vals == [1]
 
     def test_test_alone_returns_zero(self):
-        s = build_scenario("naive-tos")
-        config = apply_step(s.initial(), Step(0, None), s.system)
-        vals = [ev.value for ev in responses(config) if ev.op.name == "TEST"]
+        run = Run(build_scenario("naive-tos").system)
+        run.step(0)
+        vals = [ev.value for ev in responses(run.events) if ev.op.name == "TEST"]
         assert vals == [0]
 
     def test_full_round_robin_completes_both_ops(self):
         # decision-agnostic round-robin until nothing changes
         s = build_scenario("naive-tos")
-        config = s.initial()
+        run = Run(s.system)
         for _ in range(40):
-            before = config
+            before = config = run.config
             for p in range(s.n):
-                step = Step(p, *config.inbox[p][:1])
-                config = apply_step(config, step, s.system)
+                config = run.step(p, *config.inbox[p][:1])
             if config.states == before.states and buffer(config) == buffer(before):
                 break
-        assert len(responses(config)) == 2
-        assert {ev.op.name for ev in responses(config)} == {"SET", "TEST"}
+        assert len(responses(run.events)) == 2
+        assert {ev.op.name for ev in responses(run.events)} == {"SET", "TEST"}
 
 
 class TestAbdRegister:
@@ -122,27 +138,27 @@ class TestAbdRegister:
             AbdRegisterProtocol(2, writers=(1,), reader=0)
 
     def test_every_shallow_completed_history_is_linearizable(self):
-        # exhaustive to depth 12, deduplicated by (core, events)
+        # exhaustive to depth 12, deduplicated by (configuration, events)
         s = build_scenario("abd-reg")
         init = s.initial()
-        seen = {(init.core_key(), init.events)}
-        dq = deque([(init, 0)])
+        seen = {(init, ())}
+        dq = deque([(init, (), 0)])
         checked = 0
         while dq:
-            c, d = dq.popleft()
-            if responses(c):
-                assert is_linearizable(OpHistory(c.events), REG_SPEC) is not None
+            c, log, d = dq.popleft()
+            if responses(log):
+                assert is_linearizable(OpHistory(log), REG_SPEC) is not None
                 checked += 1
             if d >= 12:
                 continue
             for p in range(s.n):
                 for step in enabled_steps(c, p):
                     child = apply_step(c, step, s.system)
-                    k = (child.core_key(), child.events)
+                    k = (child, log + logged_events(c, (step,), s.system))
                     if k in seen:
                         continue
                     seen.add(k)
-                    dq.append((child, d + 1))
+                    dq.append((*k, d + 1))
         assert checked == 5767  # frozen: completed-op classes at depth <= 12
 
 
@@ -152,7 +168,7 @@ class TestAbdTos:
         s = build_scenario("abd-tos")
         run = fair_completion(s, s.initial())
         assert run.value in (0, 1)
-        assert len(responses(run.final)) == 2
+        assert len(responses(logged_events(s.initial(), run.history, s.system))) == 2
 
     def test_test_without_setter_returns_zero(self):
         s = build_scenario("abd-tos")
@@ -174,30 +190,31 @@ class TestTrivialAck:
     def test_op_collects_acks_then_returns_zero(self):
         built = build_protocol("trivial-ack")
         n = built.system.num_processes
-        init = initial_configuration(built.system)
-        config = apply_step(init, Step(0, None), built.system)
-        assert not responses(config)
+        run = Run(built.system)
+        config = run.step(0)
+        assert not responses(run.events)
         # route the broadcast to the servers, then their replies back
         for m in sorted(buffer(config), key=lambda m: m.uid):
             if m.payload[0] == "PING" and m.receiver >= 2:
-                config = apply_step(config, Step(m.receiver, m), built.system)
+                config = run.step(m.receiver, m)
         delivered = 0
         for _ in range(n):
             replies = [m for m in config.inbox[0] if m.payload[0] == "PONG"]
             if not replies:
                 break
-            config = apply_step(config, Step(0, replies[0]), built.system)
+            config = run.step(0, replies[0])
             delivered += 1
-            if responses(config):
+            if responses(run.events):
                 break
         assert delivered == n - 2  # reply quota before anything returns
-        assert [ev.value for ev in responses(config)] == [0]
+        assert [ev.value for ev in responses(run.events)] == [0]
 
     def test_both_clients_complete_under_fair_schedule(self):
         s = build_scenario("trivial-ack")
         run = fair_completion(s, s.initial())
-        assert len(responses(run.final)) == 2
-        assert all(ev.value == 0 for ev in responses(run.final))
+        done = responses(logged_events(s.initial(), run.history, s.system))
+        assert len(done) == 2
+        assert all(ev.value == 0 for ev in done)
 
 
 class TestDriverPrograms:
@@ -221,21 +238,20 @@ class TestDriverPrograms:
 
     def test_handshake_blocks_read_until_ok(self):
         # the reader's script may not pass WaitFor before the tag arrives
-        s = build_scenario("abd-reg")
-        config = s.initial()
+        run = Run(build_scenario("abd-reg").system)
         for _ in range(4):
-            config = apply_step(config, Step(0, None), s.system)
-        invs = [ev for ev in config.events if ev.process == 0]
+            run.step(0)
+        invs = [ev for ev in run.events if ev.process == 0]
         assert all(ev.op.name != "READ" for ev in invs)
 
     def test_busy_wait_consumes_foreign_messages(self):
         # receiving a non-tag message must not unblock the handshake
-        s = build_scenario("abd-reg")
-        config = apply_step(s.initial(), Step(1, None), s.system)
+        run = Run(build_scenario("abd-reg").system)
+        config = run.step(1)
         qt = [m for m in config.inbox[0] if m.payload[0] != "DRV"]
         assert qt
-        config = apply_step(config, Step(0, qt[0]), s.system)
-        invs = [ev for ev in config.events if ev.process == 0 and ev.op.name == "READ"]
+        run.step(0, qt[0])
+        invs = [ev for ev in run.events if ev.process == 0 and ev.op.name == "READ"]
         assert not invs
 
 
@@ -272,23 +288,27 @@ class TestClassCounts:
     @pytest.mark.parametrize("name,n,classes,logs", COUNTS)
     def test_classes_and_event_logs_to_depth_10(self, name, n, classes, logs):
         s = build_scenario(name, n)
-        configs = [config for config, _, _ in reach(s, s.initial(), 10)]
-        assert (len(configs), len({c.events for c in configs})) == (classes, logs)
+        init = s.initial()
+        hists = [hist for _, hist, _ in reach(s, init, 10)]
+        logged = {logged_events(init, h, s.system) for h in hists}
+        assert (len(hists), len(logged)) == (classes, logs)
 
     @pytest.mark.parametrize("name,n", [row[:2] for row in COUNTS])
     def test_progress_in_state_matches_the_event_log(self, name, n):
         # completed_count, the impl's pending and SysState.done say what
         # the event log says, in every class to depth 10
         s = build_scenario(name, n)
+        init = s.initial()
         from_log = {}  # event log -> (responses per process, processes pending)
-        for config, _, _ in reach(s, s.initial(), 10):
-            if config.events not in from_log:
+        for config, hist, _ in reach(s, init, 10):
+            log = logged_events(init, hist, s.system)
+            if log not in from_log:
                 done = [0] * s.n
-                for ev in responses(config):
+                for ev in responses(log):
                     done[ev.process] += 1
-                pending = {o.process for o in OpHistory(config.events).pending_ops()}
-                from_log[config.events] = done, pending
-            done, pending = from_log[config.events]
+                pending = {o.process for o in OpHistory(log).pending_ops()}
+                from_log[log] = done, pending
+            done, pending = from_log[log]
             assert completed_count(config) == sum(done)
             assert [st.done for st in config.states] == done
             waiting = {p for p, st in enumerate(config.states) if st.impl.pending is not None}

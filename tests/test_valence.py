@@ -16,7 +16,14 @@ from linlab.checkers import (
     strong_linearization_exists,
     write_strong_linearization_exists,
 )
-from linlab.model import PreconditionViolated, Step, apply_history, apply_step, enabled_steps
+from linlab.model import (
+    PreconditionViolated,
+    Step,
+    apply_history,
+    apply_step,
+    enabled_steps,
+    logged_events,
+)
 from linlab.seqspec import REG_SPEC, RESPONSE, TOS_SPEC, OpHistory
 import linlab.valence as valence
 from linlab.valence import (
@@ -36,11 +43,11 @@ from linlab.valence import (
 )
 
 
-def scanned_decision(s, config):
-    """The decision read from the event log: the value of the last
+def scanned_decision(s, events):
+    """The decision read from an event log: the value of the last
     response of the decision op by the deciding process."""
     driver = s.system.driver
-    for ev in reversed(config.events):
+    for ev in reversed(events):
         if (ev.kind == RESPONSE and ev.process == driver.decision_process
                 and ev.op.name == driver.decision_op):
             return ev.value
@@ -61,7 +68,8 @@ class TestFairSchedules:
             s = build_scenario(name, n)
             run = fair_completion(s, s.initial())
             assert run.value in (0, 1)
-            assert s.decided(run.final) == scanned_decision(s, run.final) == run.value
+            logged = logged_events(s.initial(), run.history, s.system)
+            assert s.decided(run.final) == scanned_decision(s, logged) == run.value
 
     def test_crashing_the_decider_times_out(self):
         s = build_scenario("abd-tos")
@@ -417,16 +425,19 @@ class TestExploreHistoryTree:
 
 def fresh_history_tree(s, depth):
     """explore_history_tree built independently: a new OpHistory for
-    every node, steps taken from enabled_steps."""
+    every node, its log replayed from the root, steps taken from
+    enabled_steps."""
     init = s.initial()
-    tree = ExecutionTree(OpHistory(init.events))
-    frontier = [(init, tree.root, 0)]
-    for cfg, nid, d in frontier:  # grows while iterated: breadth-first
+    tree = ExecutionTree(OpHistory())
+    frontier = [(init, (), tree.root, 0)]
+    for cfg, hist, nid, d in frontier:  # grows while iterated: breadth-first
         if d < depth:
             for p in range(s.n):
                 for step in enabled_steps(cfg, p):
                     nxt = apply_step(cfg, step, s.system)
-                    frontier.append((nxt, tree.add_node(OpHistory(nxt.events), nid), d + 1))
+                    path = hist + (step,)
+                    node = OpHistory(logged_events(init, path, s.system))
+                    frontier.append((nxt, path, tree.add_node(node, nid), d + 1))
     return tree
 
 
@@ -459,9 +470,12 @@ class TestDecisionInState:
         s = build_scenario(name, n)
         rng = random.Random(seed)
 
+        log = []
+
         def take(config, step):
             child = apply_step(config, step, s.system)
-            assert s.decided(child) == scanned_decision(s, child)
+            log.extend(logged_events(config, (step,), s.system))
+            assert s.decided(child) == scanned_decision(s, log)
             return child
 
         def any_step(config):
