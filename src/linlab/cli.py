@@ -529,6 +529,11 @@ def main(argv=None) -> int:
         _check_types(cfg)
         claim = cfg["claim"]
         _refuse_unread(command if claim is None else f"{command} {claim}", cfg)
+        if cfg["out"] is not None:  # refused before the search runs, not after
+            try:
+                open(cfg["out"], "a").close()  # creates the file but truncates none
+            except OSError as exc:
+                raise ConfigError(f"cannot open out {cfg['out']}: {exc.strerror}") from None
         cfg["protocol"] = _opt(cfg, "protocol", "naive-tos")
         return _COMMANDS[command](cfg)
     except (ConfigError, SizeLimitError, PreconditionViolated) as exc:

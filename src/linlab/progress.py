@@ -157,24 +157,24 @@ def _fair_progress(scenario: Scenario, config, live, bound: int):
     return tuple(Step(p, m) for p, m in extension), False
 
 
-def _sweep(scenario: Scenario, depth: int, crash_choices):
+def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes: dict):
     """Shared engine: for every reachable configuration and every crash
-    choice with a surviving pending operation, demand fair progress.
+    choice with a surviving pending operation, demand fair progress, and
+    return the ProgressVerdict on `condition` with `notes` attached.
 
     Which processes wait on an operation is read from their states (the
     implementation's `pending`); only a witness's labels are read from
     the event log, replayed from its base history.
 
-    Returns (witness, checked, truncated). The sweep is truncated when
-    some class lies beyond `depth`: the first class reach yields at
-    depth + 1 ends it. A witness ends it early too, so the sweep is
-    then truncated as well."""
-    checked = 0
+    The sweep is exhausted when no class lies beyond `depth`: the first
+    class reach yields at depth + 1 ends it unexhausted. A witness ends
+    it early too, so the sweep is then not exhausted either."""
+    verdict = ProgressVerdict(condition, None, 0, depth, exhausted=False, notes=notes)
     init = scenario.initial()
     for config, hist, d in reach(scenario, init, depth + 1):
         if d > depth:
-            return None, checked, True
-        checked += 1
+            return verdict
+        verdict.configs_checked += 1
         waiting = {p for p, s in enumerate(config.states) if s.impl.pending is not None}
         for crashed in crash_choices:
             if waiting <= crashed:
@@ -187,9 +187,10 @@ def _sweep(scenario: Scenario, depth: int, crash_choices):
                     for o in OpHistory(logged_events(init, hist, scenario.system)).pending_ops()
                     if o.process not in crashed
                 )
-                witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)
-                return witness, checked, True
-    return None, checked, False
+                verdict.witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)
+                return verdict
+    verdict.exhausted = True
+    return verdict
 
 
 def check_1rlf(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
@@ -197,14 +198,7 @@ def check_1rlf(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
     configuration, for every single crash (or none), the survivors'
     fair schedule completes some surviving pending operation."""
     choices = [frozenset()] + [frozenset({q}) for q in range(scenario.n)]
-    witness, checked, truncated = _sweep(scenario, depth, choices)
-    return ProgressVerdict(
-        condition="1-resilient lock-freedom",
-        witness=witness,
-        configs_checked=checked,
-        depth=depth,
-        exhausted=not truncated,
-    )
+    return _sweep(scenario, depth, choices, "1-resilient lock-freedom", {})
 
 
 def check_nonblocking(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
@@ -212,21 +206,13 @@ def check_nonblocking(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
     with the scenario's clients and servers as the split."""
     split = default_split(scenario)
     choices = split.allowed_crash_sets()
-    witness, checked, truncated = _sweep(scenario, depth, choices)
-    return ProgressVerdict(
-        condition="nonblocking",
-        witness=witness,
-        configs_checked=checked,
-        depth=depth,
-        exhausted=not truncated,
-        notes={
-            "clients": list(split.clients),
-            "servers": list(split.servers),
-            "server_floor": split.server_floor,
-            "server_floor_degenerate": split.server_floor == 0 and split.s > 0,
-            "crash_sets": len(choices),
-        },
-    )
+    return _sweep(scenario, depth, choices, "nonblocking", {
+        "clients": list(split.clients),
+        "servers": list(split.servers),
+        "server_floor": split.server_floor,
+        "server_floor_degenerate": split.server_floor == 0 and split.s > 0,
+        "crash_sets": len(choices),
+    })
 
 
 def implication(scenario: Scenario, one: ProgressVerdict, nb: ProgressVerdict) -> dict:

@@ -14,7 +14,7 @@ On top of classification this module builds the adversarial machinery:
   * bivalent_successor: given a bivalent configuration and a forced next
     step e, search the configurations reachable without applying e for
     one where applying e lands bivalent again (shortest detour first);
-  * build_hbi: iterate that against a rotating process queue, always
+  * build_hbi: iterate that against a process rotation, always
     forcing the oldest pending message, to produce an arbitrarily long
     schedule that keeps every process taking steps, keeps every
     traversed configuration bivalent, and (on subjects where the search
@@ -35,7 +35,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
-from operator import itemgetter
 from typing import Optional
 
 from .checkers import (
@@ -719,23 +718,24 @@ class HbiReport:
 def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiReport:
     """Construct a schedule that keeps the system bivalent forever.
 
-    Per slot: take the next process p off the rotation, force
-    e = (p, oldest buffered message for p, or the idle receipt), ask
-    bivalent_successor for a detour that keeps e's application bivalent,
-    append detour plus e, and send p to the back of the queue. A full
-    round schedules every process once. Getting stuck is reported, not
-    raised: it means the certified-bivalent frontier ran out within the
-    search depth, which the guarantees of a strongly linearizable
-    subject would rule out but our deliberately weak subjects may not.
+    Per round, for each process p in rotation order (one slot each):
+    force e = (p, oldest buffered message for p, or the idle receipt),
+    ask bivalent_successor for a detour that keeps e's application
+    bivalent, and append detour plus e. A full round schedules every
+    process once, so a rotation that does not name every process exactly
+    once is refused. Getting stuck is reported, not raised: it means the
+    certified-bivalent frontier ran out within the search depth, which
+    the guarantees of a strongly linearizable subject would rule out but
+    our deliberately weak subjects may not.
     """
+    rotation = tuple(range(scenario.n) if scenario.rotation is None else scenario.rotation)
+    if sorted(rotation) != list(range(scenario.n)):
+        raise PreconditionViolated(f"rotation must order every process once, not {rotation!r}")
     init = scenario.initial()
     start = classify_valence(scenario, init)
     if not start.is_bivalent:
         raise PreconditionViolated("initial configuration is not certified bivalent")
 
-    rotation = tuple(range(scenario.n) if scenario.rotation is None else scenario.rotation)
-
-    queue = deque(rotation)
     history: list = []
     segments: list = []
     current = init
@@ -743,8 +743,7 @@ def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiRepo
     rounds_done = 0
 
     for r in range(1, rounds + 1):
-        for slot in range(scenario.n):
-            p = queue[0]
+        for slot, p in enumerate(rotation):
             msgs = current.inbox[p]
             e = Step(p, msgs[0] if msgs else None)
             res = bivalent_successor(scenario, current, e, search_depth=search_depth)
@@ -765,7 +764,6 @@ def build_hbi(scenario: Scenario, rounds: int, search_depth: int = 6) -> HbiRepo
             history.extend(res.detour)
             history.append(e)
             current = res.config
-            queue.rotate(-1)
         if stuck is not None:
             break
         rounds_done = r
@@ -805,12 +803,6 @@ class AuditTriple:
         return make_triple_tree(self.base, self.branch0, self.branch1)
 
 
-_AUDIT_CHECKERS = {
-    "strong": strong_linearization_exists,
-    "write-strong": write_strong_linearization_exists,
-}
-
-
 def completed_implies_univalent_audit(
     scenario: Scenario,
     depth: int,
@@ -822,52 +814,63 @@ def completed_implies_univalent_audit(
     """Sweep reachable configurations for completed-yet-bivalent states.
 
     Every hit is packaged as the three-node tree {base, base+cert0,
-    base+cert1}, and the checker named by checker_mode, "strong" or
-    "write-strong", runs on it (these trees admit no strategy when the
-    audit works as intended, and the verdict is recorded on the triple).
-    Any other checker_mode or order is refused.
+    base+cert1}, and the checker named by checker_mode runs on it:
+    strong_linearization_exists for "strong", and
+    write_strong_linearization_exists for "write-strong" (these trees
+    admit no strategy when the audit works as intended, and the verdict
+    is recorded on the triple). Any other checker_mode or order, and a
+    max_triples below 1, is refused.
 
     order="completion-first" examines, within each depth, the classes
-    that pair a completed operation with a pending one first, which
-    reaches the interesting region much sooner on protocols whose
-    operations take many steps; "bfs" examines them in discovery order.
-    The order only decides which class is examined first: both sweep
-    the same breadth-first expansion, and without max_triples both find
-    the same triples. Both are deterministic. Exploration deduplicates
-    by behavioral key, so each behavior class is audited once, through
-    its first-discovered history.
+    that pair a completed operation with a pending one first
+    (_completion_first), which reaches the interesting region much
+    sooner on protocols whose operations take many steps; "bfs" examines
+    them in discovery order. The order only decides which class is
+    examined first: both sweep the same breadth-first expansion, and
+    without max_triples both find the same triples. Both are
+    deterministic. Exploration deduplicates by behavioral key, so each
+    behavior class is audited once, through its first-discovered
+    history. A branch's log is the base's plus the events its
+    certificate logs from the class's configuration.
 
     The audit only acts on certified-bivalent configurations, so each
     candidate is classified to PROBE_DEPTH: enough to hunt certificates,
     without paying for univalence confirmation at every completed node.
     """
-    checker = _AUDIT_CHECKERS.get(checker_mode)
-    if checker is None:
+    if checker_mode not in ("strong", "write-strong"):
         raise PreconditionViolated(
-            f"checker_mode must be one of {', '.join(map(repr, _AUDIT_CHECKERS))},"
-            f" not {checker_mode!r}"
+            f"checker_mode must be one of 'strong', 'write-strong', not {checker_mode!r}"
         )
     if order not in ("bfs", "completion-first"):
         raise PreconditionViolated(
             f"order must be 'bfs' or 'completion-first', not {order!r}"
         )
+    if max_triples is not None and (type(max_triples) is not int or max_triples < 1):
+        raise PreconditionViolated(
+            f"max_triples must be None or at least 1, not {max_triples!r}"
+        )
+    if checker_mode == "strong":
+        checker = strong_linearization_exists
+    else:
+        checker = write_strong_linearization_exists
     system = scenario.system
     init = scenario.initial()
     triples: list = []
 
     classes = reach(scenario, init, depth, stop_decided=True)
     if order == "completion-first":
-        classes = _by_rank(classes, _completion_rank)
+        classes = _completion_first(classes)
     for current, hist, d in classes:
         if completed_count(current) > 0 and scenario.decided(current) is None:
             cls = classify_valence(scenario, current, depth=PROBE_DEPTH)
             if cls.is_bivalent:
-                base = OpHistory(logged_events(init, hist, system))
+                log = logged_events(init, hist, system)
+                base = OpHistory(log)
                 triple = AuditTriple(
                     base_history=hist,
                     base=base,
-                    branch0=OpHistory(logged_events(init, hist + cls.certificates[0], system)),
-                    branch1=OpHistory(logged_events(init, hist + cls.certificates[1], system)),
+                    branch0=OpHistory(log + logged_events(current, cls.certificates[0], system)),
+                    branch1=OpHistory(log + logged_events(current, cls.certificates[1], system)),
                     completed=tuple(f"{o.op}#{o.op_id}" for o in base.complete_ops()),
                     depth=d,
                 )
@@ -878,44 +881,31 @@ def completed_implies_univalent_audit(
     return triples
 
 
-def _by_rank(classes, rank):
-    """reach's yields with each layer stably sorted by rank(config).
+def _completion_first(classes):
+    """reach's yields with, in each layer, the classes that pair a
+    returned operation (SysState.done) with a pending one (the
+    implementation's `pending`) ahead of the rest: bivalence with a
+    completed op needs something still in flight to swing the decision.
 
-    A rank is non-negative. A class of rank 0 is handed on as soon as
-    reach discovers it; the layer's other classes are held until the
-    layer is complete (reach yields layer by layer) and then handed on
-    stably sorted by rank. That is the order of sorting each whole
-    layer, but a caller that stops at a rank-0 class has paid for no
-    more of the layer than reach had discovered by then.
+    Such a class is handed on as soon as reach yields it; the layer's
+    other classes are held until the layer is complete (reach yields
+    layer by layer) and then handed on in discovery order. That is the
+    order of stably sorting each whole layer with those classes first,
+    but a caller that stops at one of them has paid for no more of the
+    layer than reach had discovered by then.
     """
-    held: list = []  # (rank, yield) of the current layer's later classes
+    held: list = []  # the current layer's other classes
     layer = 0
     for item in classes:
         if item[2] != layer:
-            held.sort(key=itemgetter(0))
-            yield from map(itemgetter(1), held)
+            yield from held
             held, layer = [], item[2]
-        r = rank(item[0])
-        if r > 0:
-            held.append((r, item))
-        elif r == 0:
+        states = item[0].states
+        if any(s.done for s in states) and any(s.impl.pending is not None for s in states):
             yield item
         else:
-            raise ValueError(f"rank {r!r} is negative")
-    held.sort(key=itemgetter(0))
-    yield from map(itemgetter(1), held)
-
-
-def _completion_rank(config: Configuration) -> int:
-    """Classes that pair a response with a pending op come first:
-    bivalence with a completed op needs something still in flight to
-    swing the decision. The rank only reorders the examination of each
-    layer, so the audit never explores more than plain breadth-first.
-    Both facts are read from the process states: SysState.done and the
-    implementation's `pending`."""
-    states = config.states
-    completed = any(s.done for s in states)
-    return 0 if completed and any(s.impl.pending is not None for s in states) else 1
+            held.append(item)
+    yield from held
 
 
 # --- plain history-tree exploration (for the tree checkers) --------------------

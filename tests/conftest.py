@@ -33,6 +33,15 @@ def buffer(config: Configuration) -> frozenset:
     return frozenset(m for row in config.inbox for m in row)
 
 
+def completion_rank(config: Configuration) -> int:
+    """0 when some operation has returned and some process has one
+    pending, else 1: sorting each layer by it stably is the audit's
+    completion-first order."""
+    states = config.states
+    completed = any(s.done for s in states)
+    return 0 if completed and any(s.impl.pending is not None for s in states) else 1
+
+
 def perm_linearizable(h, spec):
     """Reference decision by brute force, independent of the checker.
 

@@ -8,10 +8,14 @@ uninstalling it puts every original back. It also binds every keyword
 bench/workloads.py passes, so that a sweep cannot drop one unseen, and
 runs one pass of each workload against the verdict table the benchmark
 checks every job by, since some of its rows no other test asserts.
+Because the tracer patches names, a traced function that some table
+holds is called past the tracer; the strategy-check tests below count
+what it sees, and no table in linlab may hold a traced function.
 """
 
 import importlib.util
 import inspect
+import json
 import random
 import sys
 from pathlib import Path
@@ -96,6 +100,55 @@ def test_every_keyword_the_workloads_pass_still_binds():
     for fn, args, kw in calls:
         inspect.signature(fn).bind(*args, **kw)  # raises TypeError if one is gone
     assert built.system.num_processes == 4
+
+
+def traced(run):
+    """run()'s result and the calls of each layer the tracer saw."""
+    tr = load_tracer()
+    tracer = tr.Tracer()
+    restore = tr.install(tracer)
+    try:
+        result = tracer.job(lambda _: run(), None)
+    finally:
+        restore()
+    return result, tracer.summary()["calls"]
+
+
+def test_the_tracer_sees_one_strategy_check_per_audit_triple():
+    s = valence.build_scenario("naive-tos")
+    triples, calls = traced(
+        lambda: valence.completed_implies_univalent_audit(s, 14, linlab.TOS_SPEC)
+    )
+    assert len(triples) == calls["checkers.strategy"] == 1
+
+
+def test_the_tracer_sees_the_strategy_check_of_explore(capsys):
+    code, calls = traced(
+        lambda: linlab.cli.main(["explore", "--protocol", "naive-tos", "--depth", "8"])
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["triples"], calls["checkers.strategy"]) == (1, 1, 1)
+
+
+def test_no_linlab_table_holds_a_traced_function():
+    tr = load_tracer()
+    traced_fns = {}  # id -> the LAYERS target
+    for targets in tr.LAYERS.values():
+        for module, attr in targets:
+            owner, name = tr.resolve(module, attr)
+            traced_fns[id(owner.__dict__[name])] = f"{module}.{attr}"
+    held = []
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "linlab"]:
+        for name, value in vars(mod).items():
+            stack, seen = [value], set()
+            while stack:
+                item = stack.pop()
+                if id(item) in traced_fns and item is not value:
+                    held.append((mod.__name__, name, traced_fns[id(item)]))
+                if isinstance(item, (dict, list, tuple, set, frozenset)) and id(item) not in seen:
+                    seen.add(id(item))
+                    stack.extend(item.items() if isinstance(item, dict) else item)
+    assert held == []
 
 
 @pytest.mark.parametrize("workload", ["audit", "adversary", "progress", "queries"])

@@ -346,6 +346,23 @@ class TestConfigHandling:
         with pytest.raises(KeyError):
             main(["valence"])
 
+    @pytest.mark.parametrize("where,reason", [
+        (lambda tmp: tmp / "missing" / "x.json", "No such file or directory"),
+        (lambda tmp: tmp, "Is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_an_out_that_cannot_be_opened_is_refused_before_the_search(
+        self, capsys, monkeypatch, tmp_path, where, reason
+    ):
+        # it used to run the whole search, then die writing the report
+        # with a traceback and exit 1, the code of a violation
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "valence", lambda cfg: ran.append(cfg) or 0)
+        target = where(tmp_path)
+        code = main(["valence", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, ran) == (2, "", [])
+        assert captured.err == f"error: cannot open out {target}: {reason}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -7,11 +7,11 @@ ordering, nor its early yields, nor Scenario.vkey's message key. The
 second is reach without sleep sets, which applies every enabled step of
 every expanded class: reach must yield exactly its sequence.
 
-A rank no longer steers the expansion. It only reorders each layer for
-examination (the audit's completion-first order, valence._by_rank), so
-the ranked tests check that reordering against a plain stable sort.
-Ranks are non-negative, and a rank-0 class is handed on as soon as it
-is discovered.
+The audit's completion-first order (valence._completion_first) does not
+steer the expansion. It only reorders each layer for examination, so the
+ranked tests check that reordering against a plain stable sort by the
+0/1 completion rank, and a class of rank 0 is handed on as soon as it is
+discovered.
 """
 
 from collections import deque
@@ -20,15 +20,13 @@ import pytest
 
 from linlab.model import Step, apply_history, apply_step, enabled_steps
 from linlab.valence import (
-    _by_rank,
-    _completion_rank,
+    _completion_first,
     build_scenario,
-    completed_count,
     fair_completion,
     reach,
 )
 
-from conftest import buffer
+from conftest import buffer, completion_rank
 
 PROTOCOLS = ["naive-tos", "abd-tos", "abd-reg", "trivial-ack"]
 DEPTHS = range(7)
@@ -164,52 +162,50 @@ def test_stop_decided_never_extends_a_decision(name, label, depth):
 @pytest.mark.parametrize("name,label,depth", cases())
 def test_rank_reorders_but_keeps_the_classes(name, label, depth):
     s, start, plain = swept(name, label, depth)
-    ranked = list(_by_rank(iter(plain), lambda c: 1 / (1 + len(buffer(c)))))
+    ranked = list(_completion_first(iter(plain)))
     assert [d for _, _, d in ranked] == sorted(d for _, _, d in ranked)
     assert {scratch_key(s, c): d for c, _, d in ranked} == {
         scratch_key(s, c): d for c, _, d in plain
     }
 
 
+# depth one past the first layer whose rank-0 classes are not all ahead
+# of its rank-1 classes in discovery order (naive-tos has none)
+BELOW_FIRST_REORDER = {"naive-tos": 4, "abd-tos": 6, "abd-reg": 10, "trivial-ack": 6}
+
+
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_rank_leaves_the_layer_below_alone(name):
-    # ranking the last-discovered layer-1 class first makes it the first
-    # one examined, but the expansion, and so layer 2, stays breadth-first
+    # putting a layer's rank-0 classes first reorders only its own
+    # examination: the layer below is still the breadth-first
+    # expansion's, stably sorted
     s = build_scenario(name)
-    plain = list(reach(s, s.initial(), 2))
-    last = [c for c, _, d in plain if d == 1][-1]
-    hot = scratch_key(s, last)
-    out = list(_by_rank(reach(s, s.initial(), 2), lambda c: scratch_key(s, c) != hot))
-    assert scratch_key(s, out[1][0]) == hot
-    layer2 = [item for item in plain if item[2] == 2]
-    assert sequence(s, [item for item in out if item[2] == 2]) == sequence(s, layer2)
+    depth = BELOW_FIRST_REORDER[name]
+    plain = list(reach(s, s.initial(), depth))
+    out = list(_completion_first(reach(s, s.initial(), depth)))
+    want = sorted(plain, key=lambda item: (item[2], completion_rank(item[0])))
+    assert sequence(s, out) == sequence(s, want)
+    moved = [item[2] for item, w in zip(plain, want) if item is not w]
+    assert min(moved, default=None) == (None if name == "naive-tos" else depth - 1)
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_a_rank_zero_class_is_handed_on_at_discovery(name):
-    # the first class of layer 2 has rank 0 and every other class rank 1:
-    # it is handed on before reach has yielded the rest of its layer
+    # the first class of rank 0 is handed on as soon as reach yields it,
+    # before reach has yielded the rest of its layer
     s = build_scenario(name)
-    layer2 = [c for c, _, d in reach(s, s.initial(), 3) if d == 2]
-    assert len(layer2) > 1
-    hot = scratch_key(s, layer2[0])
     pulled = []
 
     def spied():
-        for item in reach(s, s.initial(), 3):
-            pulled.append(item[2])
+        for item in reach(s, s.initial(), 9):
+            pulled.append(item)
             yield item
 
-    for c, _, d in _by_rank(spied(), lambda c: int(scratch_key(s, c) != hot)):
-        if scratch_key(s, c) == hot:
-            break
-    assert pulled.count(2) == 1 and pulled[-1] == 2
-
-
-def test_a_negative_rank_is_refused():
-    s = build_scenario("naive-tos")
-    with pytest.raises(ValueError):
-        list(_by_rank(reach(s, s.initial(), 1), lambda c: -1))
+    hot = next(item for item in _completion_first(spied()) if completion_rank(item[0]) == 0)
+    assert pulled[-1] is hot
+    assert [completion_rank(c) for c, _, _ in pulled] == [1] * (len(pulled) - 1) + [0]
+    layer = [c for c, _, d in reach(s, s.initial(), hot[2]) if d == hot[2]]
+    assert len(layer) > sum(d == hot[2] for _, _, d in pulled)
 
 
 def test_stop_decided_cuts_the_sweep_at_decisions():
@@ -222,31 +218,28 @@ def test_stop_decided_cuts_the_sweep_at_decisions():
 # --- sleep sets: the yield sequence of the unpruned sweep ---------------------
 
 
-# _by_rank takes non-negative ranks, so "most first" is a reciprocal
-def fullest_buffer_first(c):
-    return 1 / (1 + len(buffer(c)))
+def scrambled(items) -> list:
+    # each layer in an order unrelated to discovery, so that the stable
+    # sort is checked on input reach would never give it
+    def key(item):
+        return item[2], sum(m.seq * 7 + m.sender * 3 + m.receiver for m in buffer(item[0])) % 5
+
+    return sorted(items, key=key)
 
 
-def most_completions_first(c):
-    return 1 / (1 + completed_count(c))
-
-
-def scrambled(c):
-    # no relation to the order of discovery, so sorting moves classes far
-    return sum(m.seq * 7 + m.sender * 3 + m.receiver for m in buffer(c)) % 5
-
-
-# name -> (reach keywords, rank or None); a ranked variant examines
-# reach's yields through _by_rank, and the unpruned sweep's yields are
-# stably sorted by (depth, rank) to match
+# name -> (reach keywords, None or what reorders the yields first); a
+# rank variant examines the reordered yields through _completion_first,
+# and the unpruned sweep's yields, reordered the same way, are stably
+# sorted by (depth, completion rank) to match. The order is a function
+# of the yields alone, so every sweep is examined completion-first
 VARIANTS = {
     "plain": (lambda s, start: {}, None),
     "forbid": (lambda s, start: {"forbid": forced_step(s, start)}, None),
     "stop_decided": (lambda s, start: {"stop_decided": True}, None),
-    "rank": (lambda s, start: {}, fullest_buffer_first),
-    "rank-completions": (lambda s, start: {}, most_completions_first),
+    "rank": (lambda s, start: {}, list),
+    "rank-completions": (lambda s, start: {"forbid": forced_step(s, start)}, list),
     "rank-scrambled": (lambda s, start: {}, scrambled),
-    "rank-audit": (lambda s, start: {"stop_decided": True}, _completion_rank),
+    "rank-audit": (lambda s, start: {"stop_decided": True}, list),
 }
 
 
@@ -259,12 +252,12 @@ def sequence(s, items) -> list:
 def test_yields_the_unpruned_sequence(name, label, depth, variant):
     s, configs = starts(name)
     start = dict(configs)[label]
-    kw, rank = VARIANTS[variant]
+    kw, first = VARIANTS[variant]
     got = reach(s, start, depth, **kw(s, start))
     want = list(unpruned_reach(s, start, depth, **kw(s, start)))
-    if rank is not None:
-        got = _by_rank(got, rank)
-        want.sort(key=lambda item: (item[2], rank(item[0])))
+    if first is not None:
+        got = _completion_first(first(got))
+        want = sorted(first(want), key=lambda item: (item[2], completion_rank(item[0])))
     assert sequence(s, got) == sequence(s, want)
 
 

@@ -29,8 +29,7 @@ import linlab.valence as valence
 from linlab.valence import (
     TIMEOUT,
     ValenceTag,
-    _by_rank,
-    _completion_rank,
+    _completion_first,
     bivalent_successor,
     build_hbi,
     build_scenario,
@@ -41,6 +40,8 @@ from linlab.valence import (
     fair_completion,
     staged_probe,
 )
+
+from conftest import completion_rank
 
 
 def scanned_decision(s, events):
@@ -252,6 +253,13 @@ class TestHbi:
         assert rep.stuck is not None
         assert rep.stuck.round == 4
 
+    @pytest.mark.parametrize("rotation", [(0, 0, 1), (0, 1), (1, 2, 3)])
+    def test_a_rotation_that_is_not_one_slot_per_process_is_refused(self, rotation):
+        s = build_scenario("abd-tos", rotation=rotation)
+        with pytest.raises(PreconditionViolated) as exc:
+            build_hbi(s, rounds=1)
+        assert str(exc.value) == f"rotation must order every process once, not {rotation!r}"
+
     def test_naive_tos_sticks_immediately_with_evidence(self):
         s = build_scenario("naive-tos")
         rep = build_hbi(s, rounds=1)
@@ -268,11 +276,12 @@ class TestHbi:
         assert out["completions"] == []
 
 
-def sorted_layers(classes, rank):
+def sorted_layers(classes):
     """The examination order by sorting each whole layer: reach's yields
-    grouped by depth, each group stably sorted by rank."""
+    grouped by depth, each group stably sorted by the 0/1 completion
+    rank."""
     return chain.from_iterable(
-        sorted(layer, key=lambda item: rank(item[0]))
+        sorted(layer, key=lambda item: completion_rank(item[0]))
         for _, layer in groupby(classes, key=itemgetter(2))
     )
 
@@ -286,11 +295,11 @@ class TestAudit:
     def test_streamed_ranking_examines_as_sorted_layers_do(
         self, monkeypatch, name, sweep, spec, mode
     ):
-        # _by_rank hands rank-0 classes on at discovery; the audit must
-        # still classify the same classes in the same order
+        # _completion_first hands rank-0 classes on at discovery; the
+        # audit must still classify the same classes in the same order
         real = valence.classify_valence
 
-        def examined(by_rank):
+        def examined(completion_first):
             s = build_scenario(name)
             calls = []
 
@@ -299,13 +308,13 @@ class TestAudit:
                 return real(scenario, config, depth)
 
             monkeypatch.setattr(valence, "classify_valence", spy)
-            monkeypatch.setattr(valence, "_by_rank", by_rank)
+            monkeypatch.setattr(valence, "_completion_first", completion_first)
             triples = completed_implies_univalent_audit(
                 s, sweep, spec, checker_mode=mode, max_triples=1, order="completion-first"
             )
             return calls, [t.base_history for t in triples]
 
-        streamed, sorted_ = examined(_by_rank), examined(sorted_layers)
+        streamed, sorted_ = examined(_completion_first), examined(sorted_layers)
         assert streamed == sorted_ and streamed[0]
 
     def test_naive_tos_single_completed_bivalent_class(self):
@@ -345,7 +354,7 @@ class TestAudit:
         assert len(bfs) == len(first) == 73
 
         def rank(t):
-            return _completion_rank(apply_history(s.initial(), t.base_history, s.system)[0])
+            return completion_rank(apply_history(s.initial(), t.base_history, s.system)[0])
 
         for d in sorted({t.depth for t in bfs}):
             layer = [t for t in bfs if t.depth == d]
@@ -358,9 +367,12 @@ class TestAudit:
     @pytest.mark.parametrize("kw,message", [
         ({"checker_mode": "sl"}, "checker_mode must be one of 'strong', 'write-strong', not 'sl'"),
         ({"order": "dfs"}, "order must be 'bfs' or 'completion-first', not 'dfs'"),
+        ({"max_triples": 0}, "max_triples must be None or at least 1, not 0"),
+        ({"max_triples": -3}, "max_triples must be None or at least 1, not -3"),
     ])
     def test_unknown_checker_mode_or_order_is_refused(self, kw, message):
-        # each used to run silently: "sl" as write-strong, "dfs" as bfs
+        # each used to run silently: "sl" as write-strong, "dfs" as bfs,
+        # and a max_triples below 1 as 1
         s = build_scenario("naive-tos")
         with pytest.raises(PreconditionViolated) as exc:
             completed_implies_univalent_audit(s, depth=14, spec=TOS_SPEC, **kw)
