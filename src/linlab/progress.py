@@ -49,16 +49,16 @@ class ClientServerSplit:
     def allowed_crash_sets(self):
         """Crash sets the nonblocking adversary may choose, smallest
         first; includes the empty set (no crash is also an adversary)."""
-        out = []
-        max_client_crashes = self.c - 1
+        clients, servers = set(self.clients), set(self.servers)
         max_server_crashes = self.s - self.server_floor
-        for kc in range(max_client_crashes + 1):
-            for ks in range(max_server_crashes + 1):
-                for dead_c in combinations(self.clients, kc):
-                    for dead_s in combinations(self.servers, ks):
-                        out.append(frozenset(dead_c + dead_s))
-        out.sort(key=lambda f: (len(f), tuple(sorted(f))))
-        return out
+        everyone = sorted(clients | servers)
+        return [
+            frozenset(dead)
+            for k in range(len(everyone) + 1)
+            for dead in combinations(everyone, k)
+            if not clients.issubset(dead)
+            and len(servers.intersection(dead)) <= max_server_crashes
+        ]
 
 
 def default_split(scenario: Scenario) -> ClientServerSplit:

@@ -82,7 +82,6 @@ class ProtocolUnderTest:
     driver tag only while `pending` is None.
     """
 
-    name: str = "abstract"
     num_processes: int = 0
 
     def init_state(self, process: int):
@@ -123,8 +122,6 @@ class NaiveTosProtocol(ProtocolUnderTest):
     def __init__(self, n: int):
         if n < 2:
             raise PreconditionViolated("need at least a setter and a tester")
-        _check_process_count(n)
-        self.name = "naive-tos"
         self.num_processes = n
 
     def init_state(self, process: int) -> NaiveTosState:
@@ -186,12 +183,10 @@ class AbdRegisterProtocol(ProtocolUnderTest):
     def __init__(self, n: int, writers: Sequence[int], reader: int):
         if n < 3:
             raise PreconditionViolated("quorum register needs n >= 3")
-        _check_process_count(n)
         if not writers or not (0 <= reader < n):
             raise PreconditionViolated("need at least one writer and a reader")
         if any(not (0 <= w < n) for w in writers):
             raise PreconditionViolated("writer ids must be process ids")
-        self.name = "abd-reg"
         self.num_processes = n
         self.writers = tuple(writers)
         self.reader = reader
@@ -287,7 +282,6 @@ class RegisterToSAdapter(ProtocolUnderTest):
         if register.multi_writer:
             raise PreconditionViolated("flag adapter expects a single-writer register")
         self.register = register
-        self.name = "abd-tos"
         self.num_processes = register.num_processes
 
     def init_state(self, process: int):
@@ -336,8 +330,6 @@ class TrivialAckProtocol(ProtocolUnderTest):
     def __init__(self, n: int):
         if n < 3:
             raise PreconditionViolated("trivial-ack object needs n >= 3")
-        _check_process_count(n)
-        self.name = "trivial-ack"
         self.num_processes = n
         self.acks_needed = n - 2
 
@@ -471,6 +463,7 @@ class ScriptedSystem(ProtocolUnderTest):
     def __init__(self, inner: ProtocolUnderTest, driver: DriverProgram, name: str):
         if len(driver.scripts) > inner.num_processes:
             raise PreconditionViolated("driver has more scripts than the protocol has processes")
+        _check_process_count(inner.num_processes)
         self.inner = inner
         self.driver = driver
         self.name = name

@@ -49,6 +49,7 @@ from .model import (
     NotApplicable,
     PreconditionViolated,
     Step,
+    apply_history,
     apply_step,
     applicable,
     initial_configuration,
@@ -580,18 +581,13 @@ def bivalent_successor(
 
     system = scenario.system
     base_completed = completed_count(config)
-    explored = 0
     cand_tags: dict = {}  # detour -> ValenceTag of e(detour config)
-    held_configs: dict = {}  # detours ending in a step of e.process, for evidence
     fallback = None  # shallowest bivalent-but-completing candidate
 
     for cfg, det, _ in reach(scenario, config, search_depth, forbid=step_e):
         succ = apply_step(cfg, step_e, system)
         cls = classify_valence(scenario, succ)
-        explored += 1
         cand_tags[det] = cls.tag
-        if det and det[-1].process == step_e.process:
-            held_configs[det] = cfg
         if cls.is_bivalent:
             new = completed_count(succ) - base_completed
             if new == 0:
@@ -601,28 +597,27 @@ def bivalent_successor(
 
     if fallback is not None:
         return fallback
-    evidence = _case_two_evidence(scenario, step_e, cand_tags, held_configs)
-    return SuccessorNotFound(explored=explored, evidence=evidence)
+    evidence = _case_two_evidence(scenario, config, step_e, cand_tags)
+    return SuccessorNotFound(explored=len(cand_tags), evidence=evidence)
 
 
-def _case_two_evidence(scenario, step_e, cand_tags, held_configs) -> tuple:
+def _case_two_evidence(scenario, config, step_e, cand_tags) -> tuple:
     """Spot pairs where stepping the forced process again flips the
     resulting valence, and show that stalling that process still lets
-    some operation complete under a fair schedule."""
+    some operation complete under a fair schedule. cand_tags maps each
+    detour from `config` to the tag of step_e after it; each of the at
+    most 3 flips found is replayed from `config` for its fair run."""
     univalent = {ValenceTag.ZERO_VALENT, ValenceTag.ONE_VALENT}
+    live = [p for p in range(scenario.n) if p != step_e.process]
     out = []
     for det, tag in cand_tags.items():
         if not det or det[-1].process != step_e.process or tag not in univalent:
             continue
-        parent = det[:-1]
-        ptag = cand_tags.get(parent)
+        ptag = cand_tags.get(det[:-1])
         if ptag in univalent and ptag is not tag:
-            cfg = held_configs.get(det)
-            completes = None
-            if cfg is not None:
-                live = [p for p in range(scenario.n) if p != step_e.process]
-                run = _fair_run(scenario, cfg, live, FAIR_BOUND)
-                completes = completed_count(run.final) > completed_count(cfg)
+            cfg, _ = apply_history(config, det, scenario.system)
+            run = _fair_run(scenario, cfg, live, FAIR_BOUND)
+            completes = completed_count(run.final) > completed_count(cfg)
             out.append(
                 {
                     "detour_len": len(det),
@@ -918,36 +913,37 @@ def explore_history_tree(
 
     No deduplication: distinct schedules are distinct nodes, which is
     exactly what the strategy checkers quantify over. Guarded by
-    max_nodes since the tree is exponential in depth. Steps go by their
-    index in the inbox, in enabled-step order. A node's history is its
-    parent's extended by the events its step's effect emits, and nodes
-    with equal event logs hold one OpHistory object.
+    max_nodes since the tree is exponential in depth. Built one layer at
+    a time, in breadth-first order; steps go by their index in the
+    inbox, in enabled-step order. A node's history is its parent's
+    extended by the events its step's effect emits, and nodes with equal
+    event logs hold one OpHistory object. Only nodes that get expanded
+    get a configuration: a leaf's is never built.
     """
     system = scenario.system
     transition = system.transition
     tree = ExecutionTree(OpHistory())
     histories = {(): tree.nodes[0].history}  # event log -> its one OpHistory
-    frontier = deque([(scenario.initial(), 0, 0)])
-    count = 1
-    while frontier:
-        cfg, nid, d = frontier.popleft()
-        if d >= depth:
-            continue
-        history = tree.nodes[nid].history
-        for p, row in enumerate(cfg.inbox):
-            for j, m in enumerate((None,) + row, -1):
-                nxt = apply_step(cfg, (p, m), system, j)
-                count += 1
-                if count > max_nodes:
-                    raise SizeLimitError(
-                        f"history tree exceeds {max_nodes} nodes at depth {d + 1}"
-                    )
-                emitted = transition(cfg.states[p], m).events
-                child = history
-                if emitted:  # else the node shares its parent's history
-                    log = history.events + emitted
-                    child = histories.get(log)
-                    if child is None:
-                        child = histories[log] = OpHistory(log)
-                frontier.append((nxt, tree.add_node(child, nid), d + 1))
+    layer = [(scenario.initial(), 0)]
+    for d in range(1, depth + 1):
+        below = []
+        for cfg, nid in layer:
+            history = tree.nodes[nid].history
+            for p, row in enumerate(cfg.inbox):
+                for j, m in enumerate((None,) + row, -1):
+                    if len(tree) >= max_nodes:
+                        raise SizeLimitError(
+                            f"history tree exceeds {max_nodes} nodes at depth {d}"
+                        )
+                    emitted = transition(cfg.states[p], m).events
+                    child = history
+                    if emitted:  # else the node shares its parent's history
+                        log = history.events + emitted
+                        child = histories.get(log)
+                        if child is None:
+                            child = histories[log] = OpHistory(log)
+                    cid = tree.add_node(child, nid)
+                    if d < depth:
+                        below.append((apply_step(cfg, (p, m), system, j), cid))
+        layer = below
     return tree

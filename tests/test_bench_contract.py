@@ -130,6 +130,14 @@ def test_the_tracer_sees_the_strategy_check_of_explore(capsys):
     assert (code, report["triples"], calls["checkers.strategy"]) == (1, 1, 1)
 
 
+def test_the_tracer_sees_one_tree_and_one_strategy_check_per_check(capsys):
+    code, calls = traced(
+        lambda: linlab.cli.main(["check", "--protocol", "naive-tos", "--mode", "sl", "--depth", "4"])
+    )
+    assert json.loads(capsys.readouterr().out)["result"] == "counterexample"
+    assert (code, calls["valence.tree"], calls["checkers.strategy"]) == (1, 1, 1)
+
+
 def test_no_linlab_table_holds_a_traced_function():
     tr = load_tracer()
     traced_fns = {}  # id -> the LAYERS target

@@ -1,6 +1,7 @@
 """Progress conditions: single-crash lock-freedom and the quorum-split rule."""
 
 import random
+from itertools import product
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -84,6 +85,23 @@ class TestCrashSets:
         assert frozenset({0, 2}) in sets
         assert frozenset({0, 1}) not in sets
         assert frozenset({2, 3}) not in sets
+
+    def test_allowed_crash_sets_match_a_brute_force_oracle(self):
+        for n in range(6):
+            for roles in product((True, False), repeat=n):
+                split = ClientServerSplit(
+                    clients=tuple(p for p in range(n) if roles[p]),
+                    servers=tuple(p for p in range(n) if not roles[p]),
+                )
+                max_server_crashes = split.s - split.server_floor
+                subsets = [tuple(p for p in range(n) if mask >> p & 1) for mask in range(2**n)]
+                oracle = sorted(
+                    (dead for dead in subsets
+                     if set(split.clients) - set(dead)
+                     and len(set(split.servers) & set(dead)) <= max_server_crashes),
+                    key=lambda dead: (len(dead), dead),
+                )
+                assert split.allowed_crash_sets() == [frozenset(d) for d in oracle], split
 
     def test_default_split_reads_protocol_roles(self):
         s = build_scenario("trivial-ack")

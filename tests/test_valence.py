@@ -193,6 +193,15 @@ class TestBivalentSuccessor:
         out = bivalent_successor(s, s.initial(), Step(0, None))
         assert out.explored >= 1
 
+    def test_evidence_replays_each_flip_and_counts_every_detour(self):
+        s = build_scenario("naive-tos")
+        step_e = Step(0, None)
+        out = bivalent_successor(s, s.initial(), step_e)
+        assert out.evidence
+        for flip in out.evidence:
+            assert isinstance(flip["progress_without_that_process"], bool)
+        assert out.explored == len(list(valence.reach(s, s.initial(), 6, forbid=step_e)))
+
 
 class TestHbi:
     def test_three_full_rounds_on_quorum_tos(self):
@@ -410,6 +419,32 @@ class TestExploreHistoryTree:
         s = build_scenario("abd-reg")
         with pytest.raises(SizeLimitError):
             explore_history_tree(s, depth=6, max_nodes=10)
+
+    @pytest.mark.parametrize("name, depth", [("naive-tos", 4), ("abd-tos", 3), ("abd-reg", 2)])
+    def test_node_budget_boundary(self, name, depth):
+        s = build_scenario(name)
+        size = len(explore_history_tree(s, depth))
+        assert len(explore_history_tree(s, depth, max_nodes=size)) == size
+        with pytest.raises(SizeLimitError,
+                           match=f"^history tree exceeds {size - 1} nodes at depth {depth}$"):
+            explore_history_tree(s, depth, max_nodes=size - 1)
+
+    @pytest.mark.parametrize("name, depth, inner", [
+        ("naive-tos", 6, 134), ("abd-tos", 3, 18), ("abd-reg", 3, 18), ("naive-tos", 1, 0)])
+    def test_only_expanded_nodes_are_stepped(self, name, depth, inner, monkeypatch):
+        s = build_scenario(name)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return apply_step(*args)
+
+        monkeypatch.setattr(valence, "apply_step", spy)
+        tree = explore_history_tree(s, depth)
+        node_depth = {tree.root: 0}
+        for nid in tree.bfs_order()[1:]:
+            node_depth[nid] = node_depth[tree.nodes[nid].parent] + 1
+        assert len(calls) == sum(0 < d < depth for d in node_depth.values()) == inner
 
     @pytest.mark.parametrize("name, depth", [
         ("naive-tos", 4), ("naive-tos", 5), ("naive-tos", 6), ("abd-tos", 3), ("abd-reg", 3)])
