@@ -187,20 +187,14 @@ class TestBivalentSuccessor:
         flip = out.evidence[0]
         assert flip["bridge_process"] == 0
         assert flip["valences"][0] != flip["valences"][1]
+        for flip in out.evidence:  # each flip's detour is replayed for its fair run
+            assert isinstance(flip["progress_without_that_process"], bool)
 
     def test_search_reports_exploration_size(self):
         s = build_scenario("naive-tos")
-        out = bivalent_successor(s, s.initial(), Step(0, None))
-        assert out.explored >= 1
-
-    def test_evidence_replays_each_flip_and_counts_every_detour(self):
-        s = build_scenario("naive-tos")
         step_e = Step(0, None)
         out = bivalent_successor(s, s.initial(), step_e)
-        assert out.evidence
-        for flip in out.evidence:
-            assert isinstance(flip["progress_without_that_process"], bool)
-        assert out.explored == len(list(valence.reach(s, s.initial(), 6, forbid=step_e)))
+        assert out.explored == len(list(valence.reach(s, s.initial(), 6, forbid=step_e))) >= 1
 
 
 class TestHbi:
