@@ -147,7 +147,6 @@ def is_linearizable(h: OpHistory, spec: SequentialSpec) -> Optional[Linearizatio
 
 @dataclass
 class TreeNode:
-    node_id: int
     parent: Optional[int]
     history: OpHistory
     children: list = field(default_factory=list)
@@ -163,8 +162,7 @@ class ExecutionTree:
     """
 
     def __init__(self, root_history: OpHistory):
-        self.nodes: dict[int, TreeNode] = {0: TreeNode(0, None, root_history)}
-        self._next = 1
+        self.nodes: dict[int, TreeNode] = {0: TreeNode(None, root_history)}
 
     @property
     def root(self) -> int:
@@ -176,9 +174,8 @@ class ExecutionTree:
             pev = parent_history.events
             if history.events[: len(pev)] != pev:
                 raise ValueError("child history must extend its parent's event log")
-        nid = self._next
-        self._next += 1
-        self.nodes[nid] = TreeNode(nid, parent, history)
+        nid = len(self.nodes)
+        self.nodes[nid] = TreeNode(parent, history)
         self.nodes[parent].children.append(nid)
         return nid
 

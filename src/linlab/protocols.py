@@ -65,13 +65,6 @@ def _next_op_id(state) -> int:
     return state.pid * OPID_STRIDE + state.opcount
 
 
-def _check_process_count(n: int) -> None:
-    if n > UID_RADIX:
-        raise PreconditionViolated(
-            f"n = {n} exceeds {UID_RADIX} processes; message uids would collide"
-        )
-
-
 class ProtocolUnderTest:
     """Deterministic per-process automaton interface.
 
@@ -463,7 +456,11 @@ class ScriptedSystem(ProtocolUnderTest):
     def __init__(self, inner: ProtocolUnderTest, driver: DriverProgram, name: str):
         if len(driver.scripts) > inner.num_processes:
             raise PreconditionViolated("driver has more scripts than the protocol has processes")
-        _check_process_count(inner.num_processes)
+        if inner.num_processes > UID_RADIX:
+            raise PreconditionViolated(
+                f"n = {inner.num_processes} exceeds {UID_RADIX} processes;"
+                " message uids would collide"
+            )
         self.inner = inner
         self.driver = driver
         self.name = name
@@ -540,7 +537,7 @@ class BuiltProtocol:
     """A ready-to-run system and the sequential object its history
     events speak (TOS_SPEC, REG_SPEC, or None when there is nothing to
     check). The clients are the processes the driver gives a script,
-    the servers are the others, and checker_mode is the spec's checker."""
+    the servers are the others."""
 
     system: ScriptedSystem
     spec: Optional[SequentialSpec] = None
@@ -553,10 +550,6 @@ class BuiltProtocol:
     def servers(self) -> tuple:
         clients = self.clients
         return tuple(p for p in range(self.system.num_processes) if p not in clients)
-
-    @property
-    def checker_mode(self) -> Optional[str]:
-        return None if self.spec is None else self.spec.checker
 
 
 # name -> (default n, the protocol for n, driver, sequential object)

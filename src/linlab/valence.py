@@ -356,8 +356,6 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
     if v is not None:
         return FairRun((), v, config)
     live = tuple(live)
-    if not live:
-        return FairRun((), TIMEOUT, config)
     ids = scenario._ids
     memo = scenario._suffixes
     boundaries: list = []  # (memo key, history offset)
@@ -547,7 +545,6 @@ def classify_valence(
 class BivalentSuccessor:
     config: Configuration
     detour: tuple  # steps applied before the forced one
-    step: Step
     valence: Valence
     new_completions: int
 
@@ -556,9 +553,6 @@ class BivalentSuccessor:
 class SuccessorNotFound:
     explored: int
     evidence: tuple
-
-    def __bool__(self) -> bool:  # truthiness mirrors "found"
-        return False
 
 
 def bivalent_successor(
@@ -591,9 +585,9 @@ def bivalent_successor(
         if cls.is_bivalent:
             new = completed_count(succ) - base_completed
             if new == 0:
-                return BivalentSuccessor(succ, det, step_e, cls, new)
+                return BivalentSuccessor(succ, det, cls, new)
             if fallback is None:
-                fallback = BivalentSuccessor(succ, det, step_e, cls, new)
+                fallback = BivalentSuccessor(succ, det, cls, new)
 
     if fallback is not None:
         return fallback

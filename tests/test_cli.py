@@ -61,6 +61,22 @@ class TestSimulate:
         assert len(lines) == 3  # header + the two scripted steps
         assert all(rec["process"] == 1 for rec in lines[1:])
 
+    def test_a_simulated_run_replays_as_its_schedule(self, capsys, tmp_path):
+        # 36 of the fair run's 55 steps receive a message, which the
+        # replay finds by uid among the pending ones
+        _, out = run_cli(capsys, "simulate", "--protocol", "abd-reg", "--seed", "3")
+        steps = out.strip().splitlines()[1:]
+        schedule = [
+            {key: json.loads(line)[key] for key in ("process", "message_uid")} for line in steps
+        ]
+        assert len(schedule) == 55
+        assert sum(entry["message_uid"] is not None for entry in schedule) == 36
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"protocol": "abd-reg", "schedule": schedule}))
+        code, replay = run_cli(capsys, "simulate", "--config", str(cfgfile))
+        assert code == 0
+        assert replay.strip().splitlines()[1:] == steps
+
     def test_crash_outside_the_system_is_a_config_error(self, capsys):
         # naive-tos has processes 0 and 1 only
         code, out = run_cli(capsys, "simulate", "--protocol", "naive-tos", "--crash", "2")
@@ -144,6 +160,22 @@ class TestCheck:
             capsys, "check", "--protocol", "naive-tos", "--mode", "seq"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check"], "protocol 'trivial-ack' has no sequential object to check"),
+            (["explore"], "protocol 'trivial-ack' has no sequential object to audit"),
+            # the mode is judged before the object it would check
+            (["check", "--mode", "bogus"], "unknown check mode 'bogus'; expected lin, sl or wsl"),
+        ],
+    )
+    def test_a_protocol_without_an_object_is_refused(self, capsys, argv, message):
+        code = main([*argv, "--protocol", "trivial-ack"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestValence:

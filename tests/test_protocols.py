@@ -8,6 +8,7 @@ import pytest
 from linlab.checkers import is_linearizable
 from linlab.model import (
     UID_RADIX,
+    Message,
     PreconditionViolated,
     Step,
     apply_step,
@@ -133,6 +134,39 @@ class TestAbdRegister:
         run = fair_completion(s, s.initial())
         assert run.value == 1
 
+    def test_a_client_drops_replies_it_must_not_count(self):
+        # process 0 of a two-writer register writes twice, its messages
+        # delivered by hand: a late ACK of the first write's store round
+        # and a second ACK from a replica already counted both leave the
+        # second store round's state object as it was
+        reg = AbdRegisterProtocol(3, writers=(0, 1), reader=0)
+
+        def reply(effect, q):  # replica q's reply to the request `effect` broadcast
+            request = dict(effect.sends)[q]
+            (_, payload), = reg.transition(reg.init_state(q), Message(0, 0, q, request)).sends
+            return Message(0, q, 0, payload)
+
+        def store_round(state, op):  # invoke op and answer its tag query
+            query = reg.invoke(state, op)
+            state = reg.transition(query.state, reply(query, 1)).state
+            return reg.transition(state, reply(query, 2))
+
+        store = store_round(reg.init_state(0), write(1))
+        late = reply(store, 2)
+        state = reg.transition(store.state, reply(store, 1)).state
+        done = reg.transition(state, reply(store, 0))
+        assert [ev.value for ev in done.events] == ["done"]
+
+        store = store_round(done.state, write(0))
+        state = reg.transition(store.state, reply(store, 1)).state
+        phase, _, rid, _, replies = state.pending
+        assert phase == "ws" and late.payload[1] < rid
+        assert [r[0] for r in replies] == [1]
+        for dropped in (late, reply(store, 1)):
+            effect = reg.transition(state, dropped)
+            assert effect.state is state
+            assert (effect.sends, effect.events) == ((), ())
+
     def test_rejects_tiny_quorum_systems(self):
         with pytest.raises(Exception):
             AbdRegisterProtocol(2, writers=(1,), reader=0)
@@ -230,7 +264,7 @@ class TestDriverPrograms:
     def test_roles_come_from_the_driver_and_the_checker_from_the_spec(self, name, checker):
         built = build_protocol(name, 5)
         assert (built.clients, built.servers) == ((0, 1), (2, 3, 4))
-        assert built.checker_mode == checker
+        assert (built.spec and built.spec.checker) == checker
 
     def test_tos_driver_shape(self):
         assert DRIVER_TOS.decision_process == 0

@@ -28,6 +28,7 @@ from linlab.seqspec import REG_SPEC, RESPONSE, TOS_SPEC, OpHistory
 import linlab.valence as valence
 from linlab.valence import (
     TIMEOUT,
+    SuccessorNotFound,
     ValenceTag,
     _completion_first,
     bivalent_successor,
@@ -182,7 +183,7 @@ class TestBivalentSuccessor:
     def test_naive_tos_forced_tester_step_has_no_out(self):
         s = build_scenario("naive-tos")
         out = bivalent_successor(s, s.initial(), Step(0, None))
-        assert not out
+        assert isinstance(out, SuccessorNotFound)
         assert out.evidence, "expected opposite-valence flips as evidence"
         flip = out.evidence[0]
         assert flip["bridge_process"] == 0
@@ -225,6 +226,29 @@ class TestHbi:
         for index in (-1, 4, 53):
             with pytest.raises(IndexError):
                 rep.certificates_at(index)
+
+    def test_a_completing_successor_when_no_other_is_found(self):
+        # rotation (1, 0, 2): process 1's round-4 step has no
+        # completion-free bivalent successor within depth 6, so the
+        # search settles for its shallowest completing one, the step itself
+        s = build_scenario("abd-tos")
+        s.rotation = (1, 0, 2)
+        rep = build_hbi(s, rounds=4)
+        seg = rep.segments[-1]
+        assert (seg.round, seg.slot, seg.process, seg.detour_len) == (4, 0, 1, 0)
+        config, _ = apply_history(s.initial(), rep.history[: seg.start_index], s.system)
+        step_e = rep.history[seg.start_index]
+        found = bivalent_successor(s, config, step_e)
+        assert (found.detour, found.new_completions) == ((), 1)
+        assert found.valence.tag is ValenceTag.BIVALENT
+        for cfg, _, _ in valence.reach(s, config, 6, forbid=step_e):
+            succ = apply_step(cfg, step_e, s.system)
+            if classify_valence(s, succ).is_bivalent:
+                assert completed_count(succ) > completed_count(config)
+        # the report goes on to round 4, slot 1, with SET's response logged
+        assert rep.rounds_completed == 3
+        assert (rep.stuck.round, rep.stuck.slot, rep.stuck.explored) == (4, 1, 51)
+        assert [(ev.op.name, ev.value) for ev in rep.completions] == [("SET", "done")]
 
     @pytest.mark.parametrize("name,rounds", [("naive-tos", 6), ("abd-tos", 0)])
     def test_initial_certificates_without_a_segment(self, name, rounds):
