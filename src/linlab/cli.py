@@ -16,7 +16,12 @@ import random
 import sys
 from typing import Optional
 
-from .checkers import SizeLimitError, is_linearizable
+from .checkers import (
+    SizeLimitError,
+    is_linearizable,
+    strong_linearization_exists,
+    write_strong_linearization_exists,
+)
 from .model import PreconditionViolated, Step, apply_step, trace_records
 from .progress import check_1rlf, check_nonblocking, implication, implication_audit
 from .protocols import PROTOCOLS
@@ -172,8 +177,6 @@ def cmd_check(cfg) -> int:
         report["result"] = "holds"
         _emit(_json(report), cfg["out"])
         return 0
-
-    from .checkers import strong_linearization_exists, write_strong_linearization_exists
 
     checker = strong_linearization_exists if mode == "sl" else write_strong_linearization_exists
     outcome = checker(tree, spec)

@@ -9,12 +9,13 @@ crashed processes is also reachable fully live and a single live sweep
 covers the whole quantification.
 
 The two properties differ only in which crash sets the adversary may
-pick. One-resilient lock-freedom allows any single crash. Nonblocking
-allows any set that leaves at least one client alive and at least
-max(0, s - (c - 1)) of the s servers alive, c counting clients; when
-that floor is zero or negative the adversary may take every server,
-which the verdict flags, since it usually signals a degenerate split
-rather than an interesting guarantee.
+pick. One-resilient lock-freedom allows any single crash. Nonblocking,
+with c clients and s servers, allows any set under which a client
+survives and at most c - 1 servers crash, so at least
+max(0, s - (c - 1)) servers stay alive; when that floor is zero the
+adversary may take every server, which the verdict flags, since it
+usually signals a degenerate split rather than an interesting
+guarantee.
 """
 
 from __future__ import annotations
@@ -29,40 +30,18 @@ from .seqspec import RESPONSE, OpHistory
 from .valence import FAIR_BOUND, Scenario, build_scenario, reach
 
 
-@dataclass(frozen=True)
-class ClientServerSplit:
-    clients: tuple
-    servers: tuple
-
-    @property
-    def c(self) -> int:
-        return len(self.clients)
-
-    @property
-    def s(self) -> int:
-        return len(self.servers)
-
-    @property
-    def server_floor(self) -> int:
-        return max(0, self.s - (self.c - 1))
-
-    def allowed_crash_sets(self):
-        """Crash sets the nonblocking adversary may choose, smallest
-        first; includes the empty set (no crash is also an adversary)."""
-        clients, servers = set(self.clients), set(self.servers)
-        max_server_crashes = self.s - self.server_floor
-        everyone = sorted(clients | servers)
-        return [
-            frozenset(dead)
-            for k in range(len(everyone) + 1)
-            for dead in combinations(everyone, k)
-            if not clients.issubset(dead)
-            and len(servers.intersection(dead)) <= max_server_crashes
-        ]
-
-
-def default_split(scenario: Scenario) -> ClientServerSplit:
-    return ClientServerSplit(tuple(scenario.built.clients), tuple(scenario.built.servers))
+def allowed_crash_sets(clients, servers) -> list:
+    """Crash sets the nonblocking adversary may choose, smallest
+    first; includes the empty set (no crash is also an adversary)."""
+    clients, servers = set(clients), set(servers)
+    everyone = sorted(clients | servers)
+    return [
+        frozenset(dead)
+        for k in range(len(everyone) + 1)
+        for dead in combinations(everyone, k)
+        if not clients.issubset(dead)
+        and len(servers.intersection(dead)) <= len(clients) - 1
+    ]
 
 
 @dataclass
@@ -204,13 +183,14 @@ def check_1rlf(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
 def check_nonblocking(scenario: Scenario, depth: int = 8) -> ProgressVerdict:
     """Nonblocking against structured crash sets (see module docstring),
     with the scenario's clients and servers as the split."""
-    split = default_split(scenario)
-    choices = split.allowed_crash_sets()
+    clients, servers = scenario.built.clients, scenario.built.servers
+    server_floor = max(0, len(servers) - (len(clients) - 1))
+    choices = allowed_crash_sets(clients, servers)
     return _sweep(scenario, depth, choices, "nonblocking", {
-        "clients": list(split.clients),
-        "servers": list(split.servers),
-        "server_floor": split.server_floor,
-        "server_floor_degenerate": split.server_floor == 0 and split.s > 0,
+        "clients": list(clients),
+        "servers": list(servers),
+        "server_floor": server_floor,
+        "server_floor_degenerate": server_floor == 0 and len(servers) > 0,
         "crash_sets": len(choices),
     })
 
@@ -220,7 +200,7 @@ def implication(scenario: Scenario, one: ProgressVerdict, nb: ProgressVerdict) -
     at least two clients (single crashes are then allowed crash sets).
     Says whether that applies to scenario, and whether its verdicts
     one (1-resilient lock-freedom) and nb (nonblocking) violate it."""
-    applies = default_split(scenario).c >= 2
+    applies = len(scenario.built.clients) >= 2
     return {
         "implication_applies": applies,
         "implication_violated": bool(applies and nb.holds and not one.holds),

@@ -201,7 +201,6 @@ class SequentialSpec:
     under: "strong" or "write-strong".
     """
 
-    name = "abstract"
     checker: Optional[str] = None
     initial_state: Value = None
 
@@ -213,7 +212,6 @@ class ToSSpec(SequentialSpec):
     """One-bit test/set flag, initially 0; its property is strong
     linearizability."""
 
-    name = "tos"
     checker = "strong"
     initial_state = 0
 
@@ -230,7 +228,6 @@ class RegisterSpec(SequentialSpec):
     """One-bit read/write register, initially 0; its property is write
     strong linearizability."""
 
-    name = "register"
     checker = "write-strong"
     initial_state = 0
 

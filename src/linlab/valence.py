@@ -59,13 +59,6 @@ from .protocols import BuiltProtocol, build_protocol
 from .seqspec import OpHistory, RESPONSE
 
 
-class _Timeout:
-    def __repr__(self) -> str:
-        return "Timeout"
-
-
-TIMEOUT = _Timeout()
-
 FAIR_BOUND = 240  # steps a fair run takes before it gives up
 VALENCE_DEPTH = 8  # default depth of classify_valence's bounded sweep
 PROBE_DEPTH = 3  # the sweep fair-probes every class this shallow
@@ -77,13 +70,13 @@ class Scenario:
 
     It also holds the memos its searches share, none of which changes a
     result: the fair-run suffixes (_fair_run), the intern table of the
-    compact keys (_compact_key), and the successor table of
-    classify_valence's sweeps (reach). Sweeps from nearby
-    configurations, as bivalent_successor's candidates are, overlap, so
-    a later sweep skips the steps an earlier one took to a class it has
-    already seen. No other sweep remembers: the audit's outer sweep,
-    the progress sweep and bivalent_successor's own sweep leave the
-    table as it was.
+    compact keys (_compact_key), and the successor table of the sweeps
+    that stop at decisions (reach with stop_decided): classify_valence's
+    and the audit's outer sweep. Sweeps from nearby configurations, as
+    bivalent_successor's candidates are, overlap, so a later sweep skips
+    the steps an earlier one took to a class it has already seen. No
+    other sweep remembers: the progress sweep and bivalent_successor's
+    detour sweep leave the table as it was.
     """
 
     built: BuiltProtocol
@@ -94,7 +87,7 @@ class Scenario:
     _ids: defaultdict = field(
         default_factory=lambda: defaultdict(count().__next__), repr=False, compare=False
     )
-    # successor table of classify_valence's sweeps (see reach): compact
+    # successor table of the stop_decided sweeps (see reach): compact
     # key -> per enabled step, the key of the child the step was a dedup
     # hit on, None where it found a new class or was not taken
     _successors: dict = field(default_factory=dict, repr=False, compare=False)
@@ -182,7 +175,6 @@ def reach(
     *,
     forbid: Optional[Step] = None,
     stop_decided: bool = False,
-    _successors: Optional[dict] = None,
 ):
     """Breadth-first sweep of the configurations reachable from start.
 
@@ -226,11 +218,11 @@ def reach(
     expandable. A no-op that returns a new, equal configuration takes
     the full path and hits `seen` the same way.
 
-    `_successors`, a successor table, is for stop_decided sweeps; only
-    classify_valence passes one (the scenario's). It maps a class's
-    compact key to one slot per enabled step, in enabled-step order.
-    A slot holds the compact key of the step's child when that step
-    was a dedup hit, at any layer, and the child is undecided; a decided
+    A sweep that stops at decisions goes through the scenario's
+    successor table, and no other sweep does. The table maps a class's
+    compact key to one slot per enabled step, in enabled-step order. A
+    slot holds the compact key of the step's child when that step was a
+    dedup hit, at any layer, and the child is undecided; a decided
     child is never expandable, so it always takes the full path. A
     later sweep that meets the class skips such a step when the child
     is in its `seen`: no apply_step and no key, and the sleepers are
@@ -262,7 +254,7 @@ def reach(
     if depth > 0 and not (stop_decided and scenario.decided(start) is not None):
         layer.append((start, key, (), (), 0))
     fp, fm = (-1, None) if forbid is None else forbid
-    table = _successors
+    table = scenario._successors if stop else None
     d = 0
     while layer:
         d += 1
@@ -306,7 +298,7 @@ def reach(
                     if first is not child_key:  # a dedup hit
                         if expandable:
                             shared.append(p if m is None else m)
-                        if table is not None and (not stop or child.states[dp].decided is None):
+                        if table is not None and child.states[dp].decided is None:
                             if kids is None:  # one slot per enabled step
                                 slots = len(config.inbox) + sum(map(len, config.inbox))
                                 kids = table[key] = [None] * slots
@@ -327,14 +319,18 @@ def reach(
 
 @dataclass
 class FairRun:
+    """A fair run's steps, the value its decision returned (None when
+    none returned) and the configuration it ended in."""
+
     history: tuple
-    value: object  # 0 | 1 | TIMEOUT
+    value: Optional[int]
     final: Configuration
 
 
 def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> FairRun:
     """Round-robin over live processes, oldest message first, until the
-    decision returns, the system stops changing, or the bound is hit.
+    decision returns, the system stops changing, or the bound is hit;
+    the run's value is None unless the decision returned.
 
     The decision is read from the decider's state (SysState.decided).
     What happens after a round boundary depends only on the boundary's
@@ -387,10 +383,10 @@ def _fair_run(scenario: Scenario, config: Configuration, live, bound: int) -> Fa
             break
         key, prior = _compact_key(ids, current), key
         if key == prior:
-            run = FairRun(tuple(history), TIMEOUT, current)  # nothing will ever change again
+            run = FairRun(tuple(history), None, current)  # nothing will ever change again
             break
     if run is None:
-        return FairRun(tuple(history), TIMEOUT, current)
+        return FairRun(tuple(history), None, current)
     for boundary, offset in boundaries:
         memo[boundary] = (run, offset)
     return run
@@ -418,11 +414,12 @@ def staged_probe(scenario: Scenario, config: Configuration, hold: int) -> FairRu
     """Hold one process back until the rest quiesce, then run everyone.
 
     Fair overall (the held process still takes infinitely many steps in
-    the limit); exists to harvest order-dependent decision values.
+    the limit); exists to harvest order-dependent decision values. The
+    run's value is None when no decision returned.
     """
     live = [p for p in range(scenario.n) if p != hold]
     first = _fair_run(scenario, config, live, FAIR_BOUND)
-    if first.value is not TIMEOUT:
+    if first.value is not None:
         return first
     rest = _fair_run(scenario, first.final, list(range(scenario.n)), FAIR_BOUND)
     return FairRun(first.history + rest.history, rest.value, rest.final)
@@ -498,7 +495,7 @@ def classify_valence(
     certs: dict = {}
 
     def record(run: FairRun, prefix: tuple = ()) -> None:
-        if run.value is not TIMEOUT and run.value not in certs:
+        if run.value is not None and run.value not in certs:
             certs[run.value] = prefix + run.history
 
     # a crash of q is covered too: the staged probe's first run is the
@@ -517,10 +514,7 @@ def classify_valence(
     # truncated when an undecided class sits at `depth`, and it always
     # covers one layer, even at depth 0.
     truncated = False
-    sweep = reach(
-        scenario, config, max(depth, 1), stop_decided=True, _successors=scenario._successors
-    )
-    for nxt, hist, d in sweep:
+    for nxt, hist, d in reach(scenario, config, max(depth, 1), stop_decided=True):
         if d == 0:
             continue  # the configuration itself, probed above
         v = scenario.decided(nxt)

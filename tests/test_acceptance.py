@@ -34,7 +34,6 @@ from linlab.model import apply_history, apply_step, enabled_steps, logged_events
 from linlab.progress import (
     check_1rlf,
     check_nonblocking,
-    default_split,
     implication_audit,
 )
 from linlab.protocols import PROTOCOLS
@@ -286,7 +285,7 @@ def test_5_checker_agrees_with_permutation_oracle():
             checked += 1
             positive += fast
             if fast != slow:
-                disagreements.append((spec.name, h))
+                disagreements.append((type(spec).__name__, h))
     if checked < 200:
         problems.append(f"only {checked} histories generated")
     if disagreements:
@@ -308,9 +307,9 @@ def test_6_progress_split_and_starvation_witness():
     t0 = time.monotonic()
     problems = []
     s = build_scenario("trivial-ack")
-    split = default_split(s)
-    if (s.n, split.c, split.s) != (4, 2, 2):
-        problems.append(f"unexpected shape n={s.n} c={split.c} s={split.s}")
+    clients, servers = s.built.clients, s.built.servers
+    if (s.n, len(clients), len(servers)) != (4, 2, 2):
+        problems.append(f"unexpected shape n={s.n} c={len(clients)} s={len(servers)}")
     v1 = check_1rlf(s, depth=5)
     if not v1.holds or v1.witness is not None:
         problems.append("single-crash lock-freedom did not hold at the bound")
@@ -319,8 +318,8 @@ def test_6_progress_split_and_starvation_witness():
         problems.append("nonblocking verdict carried no witness")
     else:
         w = v2.witness
-        crashed_clients = set(w.crash_set) & set(split.clients)
-        crashed_servers = set(w.crash_set) & set(split.servers)
+        crashed_clients = set(w.crash_set) & set(clients)
+        crashed_servers = set(w.crash_set) & set(servers)
         if (len(crashed_clients), len(crashed_servers)) != (1, 1):
             problems.append(f"witness crash set {sorted(w.crash_set)} is not "
                             "one client plus one server")

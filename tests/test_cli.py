@@ -9,6 +9,9 @@ import pytest
 
 from linlab import cli
 from linlab.cli import main
+from linlab.protocols import build_protocol
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +79,34 @@ class TestSimulate:
         code, replay = run_cli(capsys, "simulate", "--config", str(cfgfile))
         assert code == 0
         assert replay.strip().splitlines()[1:] == steps
+
+    @pytest.mark.parametrize("name,lengths", [
+        ("naive-tos", {"0": 1, "1": 4}),
+        ("abd-tos", {"0": 25, "1": 32}),
+        ("abd-reg", {"0": 68, "1": 55}),
+    ])
+    def test_printed_certificates_replay(self, capsys, tmp_path, name, lengths):
+        # each certificate `valence` prints is a schedule that `simulate`
+        # replays, whose last step returns the decision with its value
+        golden = json.loads((GOLDEN / f"valence-{name}.json").read_text())
+        certificates = json.loads(golden["stdout"])["valence"]["certificates"]
+        assert {v: len(c) for v, c in certificates.items()} == lengths
+        driver = build_protocol(name).system.driver
+        cfgfile = tmp_path / "c.json"
+        for value, schedule in certificates.items():
+            cfgfile.write_text(json.dumps({"schedule": schedule}))
+            code, out = run_cli(capsys, "simulate", "--protocol", name, "--config", str(cfgfile))
+            assert code == 0
+            steps = [json.loads(line) for line in out.strip().splitlines()[1:]]
+            assert [(s["process"], s["message_uid"]) for s in steps] == [
+                (e["process"], e["message_uid"]) for e in schedule
+            ]
+            decisions = [
+                (i, ev["value"]) for i, s in enumerate(steps) for ev in s["events_emitted"]
+                if ev["kind"] == "response" and ev["process"] == driver.decision_process
+                and ev["op"] == driver.decision_op
+            ]
+            assert decisions == [(len(steps) - 1, int(value))]
 
     def test_crash_outside_the_system_is_a_config_error(self, capsys):
         # naive-tos has processes 0 and 1 only

@@ -15,13 +15,13 @@ import pytest
 
 import linlab.valence as valence
 from conftest import random_walk, run_corpus
-from linlab.model import apply_history, enabled_steps
+from linlab.model import Step, apply_history, enabled_steps
 from linlab.progress import check_1rlf
 from linlab.protocols import ScriptedSystem
 from linlab.seqspec import REG_SPEC, TOS_SPEC
 from linlab.valence import (
-    TIMEOUT,
     VALENCE_DEPTH,
+    Scenario,
     ValenceTag,
     _compact_key,
     build_hbi,
@@ -119,7 +119,7 @@ class TestSuffixMemo:
             for bound in range(len(full.history) + 2):
                 cold = fair_completion(build_scenario(name), config, bound=bound)
                 if bound < len(full.history):
-                    assert cold.value is TIMEOUT
+                    assert cold.value is None
                     assert len(cold.history) == bound
                 # a finished run, then a shorter one: truncated all the same
                 warm = build_scenario(name)
@@ -213,11 +213,13 @@ class TestSuccessorMemo:
         # the same classes, histories and depths, in the same order, from
         # every class to depth 2 and a table warmed by all of them
         s = build_scenario(name)
+        cold_s = Scenario(s.built)
+        cold_s._successors = Forgetful()
         starts = [c for c, _, _ in reach(s, s.initial(), 2)]
         for _ in range(2):  # the first pass fills the table, the second reads it
             for start in starts:
-                warm = reach(s, start, 6, stop_decided=True, _successors=s._successors)
-                cold = reach(s, start, 6, stop_decided=True)
+                warm = reach(s, start, 6, stop_decided=True)
+                cold = reach(cold_s, start, 6, stop_decided=True)
                 assert [(c.core_key(), h, d) for c, h, d in warm] == [
                     (c.core_key(), h, d) for c, h, d in cold
                 ]
@@ -257,8 +259,8 @@ class TestSuccessorMemo:
 
     @pytest.mark.parametrize("name", sorted(AUDITS))
     def test_warm_audit_equals_cold(self, name, monkeypatch):
-        # the audit's outer sweep remembers nothing, its classifications
-        # do: the second audit on the warm scenario reads the first's.
+        # the audit's outer sweep and its classifications remember: the
+        # second audit on the warm scenario reads the first's.
         # Every verdict must agree, not only the bivalent ones that
         # make triples.
         depth, spec, order = AUDITS[name]
@@ -282,6 +284,16 @@ class TestSuccessorMemo:
             assert warm._successors
 
     def test_other_sweeps_leave_the_table_empty(self):
+        # neither the progress sweep nor a forbid sweep, as
+        # bivalent_successor's detour sweep is, stops at decisions
         s = build_scenario("abd-tos")
         check_1rlf(s, depth=6)
+        for _ in reach(s, s.initial(), 6, forbid=Step(0, None)):
+            pass
         assert s._successors == {}
+
+    def test_a_sweep_that_stops_at_decisions_fills_the_table(self):
+        s = build_scenario("abd-tos")
+        for _ in reach(s, s.initial(), 6, stop_decided=True):
+            pass
+        assert s._successors

@@ -18,15 +18,21 @@ from linlab.model import (
     logged_events,
 )
 from linlab.progress import (
-    ClientServerSplit,
     _fair_progress,
+    allowed_crash_sets,
     check_1rlf,
     check_nonblocking,
-    default_split,
     implication_audit,
 )
-from linlab.seqspec import RESPONSE
-from linlab.valence import FAIR_BOUND, build_scenario, completed_count
+from linlab.protocols import (
+    BuiltProtocol,
+    DriverProgram,
+    Invoke,
+    ScriptedSystem,
+    TrivialAckProtocol,
+)
+from linlab.seqspec import RESPONSE, Op
+from linlab.valence import FAIR_BOUND, Scenario, build_scenario, completed_count
 
 
 def reference_fair_progress(s, config, live, bound):
@@ -62,22 +68,41 @@ def crash_choices(s):
     """Every crash set either check may pick: none, any single process,
     and the nonblocking adversary's sets."""
     single = [frozenset()] + [frozenset({q}) for q in range(s.n)]
-    return list(dict.fromkeys(single + default_split(s).allowed_crash_sets()))
+    nonblocking = allowed_crash_sets(s.built.clients, s.built.servers)
+    return list(dict.fromkeys(single + nonblocking))
+
+
+def nonblocking_notes(s):
+    """The notes of s's nonblocking verdict; they do not depend on the depth."""
+    return check_nonblocking(s, depth=1).notes
+
+
+def three_clients_one_server():
+    """Three scripted clients on a four-process trivial-ack object."""
+    op = (Invoke(Op("OP")),)
+    driver = DriverProgram((op, op, op), None, None)
+    return Scenario(BuiltProtocol(ScriptedSystem(TrivialAckProtocol(4), driver, "3c1s")))
 
 
 class TestCrashSets:
     def test_split_floor_formula(self):
-        split = ClientServerSplit(clients=(0, 1), servers=(2, 3))
-        assert split.c == 2 and split.s == 2
-        assert split.server_floor == 1  # max(0, s - (c - 1))
+        # max(0, s - (c - 1)): trivial-ack has c = s = 2, abd-tos n=3 has
+        # c = 2, s = 1, so its adversary may take the only server
+        notes = nonblocking_notes(build_scenario("trivial-ack"))
+        assert (notes["clients"], notes["servers"]) == ([0, 1], [2, 3])
+        assert (notes["server_floor"], notes["server_floor_degenerate"]) == (1, False)
+        notes = nonblocking_notes(build_scenario("abd-tos", n=3))
+        assert (notes["server_floor"], notes["server_floor_degenerate"]) == (0, True)
 
     def test_degenerate_floor_clamps_to_zero(self):
-        split = ClientServerSplit(clients=(0, 1, 2), servers=(3,))
-        assert split.server_floor == 0
+        # c = 3, s = 1: s - (c - 1) is -1
+        notes = nonblocking_notes(three_clients_one_server())
+        assert (notes["clients"], notes["servers"]) == ([0, 1, 2], [3])
+        assert (notes["server_floor"], notes["server_floor_degenerate"]) == (0, True)
+        assert notes["crash_sets"] == len(allowed_crash_sets((0, 1, 2), (3,)))
 
     def test_allowed_crash_sets_smallest_first(self):
-        split = ClientServerSplit(clients=(0, 1), servers=(2, 3))
-        sets = list(split.allowed_crash_sets())
+        sets = allowed_crash_sets((0, 1), (2, 3))
         assert sets[0] == frozenset()
         sizes = [len(x) for x in sets]
         assert sizes == sorted(sizes)
@@ -89,25 +114,25 @@ class TestCrashSets:
     def test_allowed_crash_sets_match_a_brute_force_oracle(self):
         for n in range(6):
             for roles in product((True, False), repeat=n):
-                split = ClientServerSplit(
-                    clients=tuple(p for p in range(n) if roles[p]),
-                    servers=tuple(p for p in range(n) if not roles[p]),
-                )
-                max_server_crashes = split.s - split.server_floor
+                clients = tuple(p for p in range(n) if roles[p])
+                servers = tuple(p for p in range(n) if not roles[p])
+                c, s = len(clients), len(servers)
+                max_server_crashes = s - max(0, s - (c - 1))
                 subsets = [tuple(p for p in range(n) if mask >> p & 1) for mask in range(2**n)]
                 oracle = sorted(
                     (dead for dead in subsets
-                     if set(split.clients) - set(dead)
-                     and len(set(split.servers) & set(dead)) <= max_server_crashes),
+                     if set(clients) - set(dead)
+                     and len(set(servers) & set(dead)) <= max_server_crashes),
                     key=lambda dead: (len(dead), dead),
                 )
-                assert split.allowed_crash_sets() == [frozenset(d) for d in oracle], split
+                got = allowed_crash_sets(clients, servers)
+                assert got == [frozenset(d) for d in oracle], (clients, servers)
 
-    def test_default_split_reads_protocol_roles(self):
+    def test_nonblocking_reads_protocol_roles(self):
         s = build_scenario("trivial-ack")
-        split = default_split(s)
-        assert split.clients == (0, 1)
-        assert split.servers == (2, 3)
+        assert (s.built.clients, s.built.servers) == ((0, 1), (2, 3))
+        notes = nonblocking_notes(s)
+        assert notes["crash_sets"] == len(allowed_crash_sets((0, 1), (2, 3)))
 
 
 class TestOneResilientLockFreedom:
@@ -155,11 +180,11 @@ class TestNonblocking:
     def test_witness_crash_set_respects_the_split(self):
         s = build_scenario("trivial-ack")
         verdict = check_nonblocking(s, depth=6)
-        split = default_split(s)
-        crashed_clients = set(verdict.witness.crash_set) & set(split.clients)
-        crashed_servers = set(verdict.witness.crash_set) & set(split.servers)
-        assert len(crashed_clients) <= split.c - 1
-        assert len(crashed_servers) <= split.s - split.server_floor
+        notes = verdict.notes
+        crashed_clients = set(verdict.witness.crash_set) & set(notes["clients"])
+        crashed_servers = set(verdict.witness.crash_set) & set(notes["servers"])
+        assert len(crashed_clients) <= len(notes["clients"]) - 1
+        assert len(crashed_servers) <= len(notes["servers"]) - notes["server_floor"]
 
     def test_a_witness_leaves_the_sweep_unexhausted(self):
         # the sweep stops at the witness, so it did not cover the space
