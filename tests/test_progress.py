@@ -77,13 +77,6 @@ def nonblocking_notes(s):
     return check_nonblocking(s, depth=1).notes
 
 
-def three_clients_one_server():
-    """Three scripted clients on a four-process trivial-ack object."""
-    op = (Invoke(Op("OP")),)
-    driver = DriverProgram((op, op, op), None, None)
-    return Scenario(BuiltProtocol(ScriptedSystem(TrivialAckProtocol(4), driver, "3c1s")))
-
-
 class TestCrashSets:
     def test_split_floor_formula(self):
         # max(0, s - (c - 1)): trivial-ack has c = s = 2, abd-tos n=3 has
@@ -95,8 +88,12 @@ class TestCrashSets:
         assert (notes["server_floor"], notes["server_floor_degenerate"]) == (0, True)
 
     def test_degenerate_floor_clamps_to_zero(self):
-        # c = 3, s = 1: s - (c - 1) is -1
-        notes = nonblocking_notes(three_clients_one_server())
+        # three scripted clients on a four-process trivial-ack object:
+        # c = 3, s = 1, so s - (c - 1) is -1
+        op = (Invoke(Op("OP")),)
+        driver = DriverProgram((op, op, op), None, None)
+        system = ScriptedSystem(TrivialAckProtocol(4), driver, "3c1s")
+        notes = nonblocking_notes(Scenario(BuiltProtocol(system)))
         assert (notes["clients"], notes["servers"]) == ([0, 1, 2], [3])
         assert (notes["server_floor"], notes["server_floor_degenerate"]) == (0, True)
         assert notes["crash_sets"] == len(allowed_crash_sets((0, 1, 2), (3,)))
