@@ -26,8 +26,6 @@ from .model import PreconditionViolated, Step, apply_step, trace_records
 from .progress import check_1rlf, check_nonblocking, implication, implication_audit
 from .protocols import PROTOCOLS
 from .valence import (
-    FAIR_BOUND,
-    VALENCE_DEPTH,
     SuccessorNotFound,
     ValenceTag,
     staged_probe,
@@ -45,14 +43,6 @@ _MODE_FOR_CHECKER = {"strong": "sl", "write-strong": "wsl", None: "lin"}
 
 class ConfigError(Exception):
     pass
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _json(obj) -> str:
@@ -78,16 +68,11 @@ def _seed_rotation(scenario, seed: Optional[int]) -> None:
         scenario.rotation = tuple(order)
 
 
-def _opt(cfg, name, default):
-    """cfg[name], where a missing key and null both mean the default."""
-    value = cfg.get(name)
-    return default if value is None else value
-
-
 # --- subcommands --------------------------------------------------------------
+# Each returns (report text, exit code); main writes the text.
 
 
-def cmd_simulate(cfg) -> int:
+def cmd_simulate(cfg) -> tuple:
     scenario = _scenario(cfg)
     crash = cfg["crash"]
     if crash is not None and not (isinstance(crash, int) and 0 <= crash < scenario.n):
@@ -104,21 +89,18 @@ def cmd_simulate(cfg) -> int:
             }
         )
     ]
-    schedule = cfg.get("schedule")
+    schedule = cfg["schedule"]
     if schedule is not None:
         if cfg["depth"] is not None:
             raise ConfigError("depth bounds the fair schedule; it does not apply beside schedule")
         history = _resolve_schedule(scenario, init, schedule, crash)
     else:
-        bound = _opt(cfg, "depth", FAIR_BOUND)
-        run = fair_completion(scenario, init, crashed=cfg["crash"], bound=bound)
-        history = run.history
+        history = fair_completion(scenario, init, crashed=crash, bound=cfg["depth"]).history
     records = trace_records(init, history, scenario.system)
     for rec in records:
         rec["type"] = "step"
         lines.append(_json(rec))
-    _emit("\n".join(lines), cfg["out"])
-    return 0
+    return "\n".join(lines), 0
 
 
 def _resolve_schedule(scenario, init, schedule, crashed):
@@ -129,6 +111,9 @@ def _resolve_schedule(scenario, init, schedule, crashed):
     current = init
     history = []
     for i, entry in enumerate(schedule):
+        unknown = sorted(set(entry) - {"process", "message_uid"})
+        if unknown:
+            raise ConfigError(f"schedule[{i}]: unknown key {unknown[0]!r}")
         p = entry.get("process")
         uid = entry.get("message_uid")
         if type(p) is not int or not 0 <= p < scenario.n:
@@ -149,7 +134,7 @@ def _resolve_schedule(scenario, init, schedule, crashed):
     return tuple(history)
 
 
-def cmd_check(cfg) -> int:
+def cmd_check(cfg) -> tuple:
     scenario = _scenario(cfg)
     spec = scenario.built.spec
     mode = cfg["mode"] or _MODE_FOR_CHECKER[spec and spec.checker]
@@ -157,10 +142,9 @@ def cmd_check(cfg) -> int:
         raise ConfigError(f"unknown check mode {mode!r}; expected lin, sl or wsl")
     if spec is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no sequential object to check")
-    depth = _opt(cfg, "depth", 4)
-    tree = explore_history_tree(scenario, depth, max_nodes=_opt(cfg, "max_nodes", 600))
+    tree = explore_history_tree(scenario, cfg["depth"], max_nodes=cfg["max_nodes"])
 
-    report = {"mode": mode, "depth": depth, "nodes": len(tree.nodes)}
+    report = {"mode": mode, "depth": cfg["depth"], "nodes": len(tree.nodes)}
     if mode == "lin":
         judged = set()  # ids of the history objects judged so far
         for nid in tree.bfs_order():
@@ -172,31 +156,27 @@ def cmd_check(cfg) -> int:
                 report["result"] = "violation"
                 report["node"] = nid
                 report["history"] = node.history.to_json()
-                _emit(_json(report), cfg["out"])
-                return 1
+                return _json(report), 1
         report["result"] = "holds"
-        _emit(_json(report), cfg["out"])
-        return 0
+        return _json(report), 0
 
     checker = strong_linearization_exists if mode == "sl" else write_strong_linearization_exists
     outcome = checker(tree, spec)
     report["result"] = outcome.__class__.__name__.lower()
     report["detail"] = outcome.to_json()
-    _emit(_json(report), cfg["out"])
-    return 0 if report["result"] == "strategy" else 1
+    return _json(report), 0 if report["result"] == "strategy" else 1
 
 
-def cmd_valence(cfg) -> int:
+def cmd_valence(cfg) -> tuple:
     scenario = _scenario(cfg)
     if scenario.decision_process is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no decision operation to classify")
-    depth = _opt(cfg, "depth", VALENCE_DEPTH)
-    verdict = classify_valence(scenario, scenario.initial(), depth)
-    _emit(_json({"protocol": cfg["protocol"], "valence": verdict.to_json()}), cfg["out"])
-    return 2 if verdict.tag is ValenceTag.UNKNOWN_AT_BOUND else 0
+    verdict = classify_valence(scenario, scenario.initial(), cfg["depth"])
+    report = _json({"protocol": cfg["protocol"], "valence": verdict.to_json()})
+    return report, 2 if verdict.tag is ValenceTag.UNKNOWN_AT_BOUND else 0
 
 
-def _audit(scenario, depth: int, max_triples: int = 1) -> list:
+def _audit(scenario, depth: int, max_triples: int) -> list:
     """The completed-yet-bivalent audit, completion-first, under the
     checker of the protocol's own sequential object."""
     spec = scenario.built.spec
@@ -206,16 +186,15 @@ def _audit(scenario, depth: int, max_triples: int = 1) -> list:
     )
 
 
-def cmd_explore(cfg) -> int:
+def cmd_explore(cfg) -> tuple:
     scenario = _scenario(cfg)
     spec = scenario.built.spec
     if spec is None:
         raise ConfigError(f"protocol {cfg['protocol']!r} has no sequential object to audit")
-    depth = _opt(cfg, "depth", 10)
-    triples = _audit(scenario, depth, _opt(cfg, "max_triples", 1))
+    triples = _audit(scenario, cfg["depth"], cfg["max_triples"])
     report = {
         "protocol": cfg["protocol"],
-        "depth": depth,
+        "depth": cfg["depth"],
         "checker": spec.checker,
         "triples": len(triples),
     }
@@ -229,33 +208,28 @@ def cmd_explore(cfg) -> int:
             "branch1": t.branch1.to_json(),
             "verdict": t.verdict.__class__.__name__.lower(),
         }
-    _emit(_json(report), cfg["out"])
-    return 1 if triples else 0
+    return _json(report), 1 if triples else 0
 
 
-def cmd_hbi(cfg) -> int:
+def cmd_hbi(cfg) -> tuple:
     scenario = _scenario(cfg)
     _seed_rotation(scenario, cfg["seed"])
-    rounds = _opt(cfg, "rounds", 3)
-    depth = _opt(cfg, "depth", 6)
-    report = build_hbi(scenario, rounds, search_depth=depth)
-    _emit(_json(report.to_json()), cfg["out"])
-    return 0 if report.stuck is None and report.rounds_completed >= rounds else 1
+    report = build_hbi(scenario, cfg["rounds"], search_depth=cfg["depth"])
+    code = 0 if report.stuck is None and report.rounds_completed >= cfg["rounds"] else 1
+    return _json(report.to_json()), code
 
 
-def cmd_progress(cfg) -> int:
+def cmd_progress(cfg) -> tuple:
     scenario = _scenario(cfg)
-    depth = _opt(cfg, "depth", 6)
-    one = check_1rlf(scenario, depth=depth)
-    nb = check_nonblocking(scenario, depth=depth)
+    one = check_1rlf(scenario, depth=cfg["depth"])
+    nb = check_nonblocking(scenario, depth=cfg["depth"])
     report = {
         "protocol": cfg["protocol"],
         "one_rlf": one.to_json(),
         "nonblocking": nb.to_json(),
         **implication(scenario, one, nb),
     }
-    _emit(_json(report), cfg["out"])
-    return 0 if one.holds and nb.holds else 1
+    return _json(report), 0 if one.holds and nb.holds else 1
 
 
 # --- demos ---------------------------------------------------------------------
@@ -288,15 +262,13 @@ def _demo_init_bivalent(cfg, say) -> bool:
     return ok
 
 
-def _demo_audit(cfg, say, protocol, depth, missing, outcomes, check, completes="") -> bool:
+def _demo_audit(cfg, say, protocol, missing, outcomes, check, completes="") -> bool:
     """Passes when the protocol's first completed-yet-bivalent triple is
     refuted by its object's checker and completed an operation whose
     name starts with `completes`; missing, outcomes and check word it."""
-    scenario = build_scenario(protocol)
-    depth = _opt(cfg, "depth", depth)
-    triples = _audit(scenario, depth)
+    triples = _audit(build_scenario(protocol), cfg["depth"], max_triples=1)
     if not triples:
-        say(f"no {missing} configuration found at depth {depth}")
+        say(f"no {missing} configuration found at depth {cfg['depth']}")
         return False
     t = triples[0]
     say(f"bivalent configuration at depth {t.depth} with completed: {', '.join(t.completed)}")
@@ -307,7 +279,7 @@ def _demo_audit(cfg, say, protocol, depth, missing, outcomes, check, completes="
 
 
 def _demo_claim2(cfg, say) -> bool:
-    return _demo_audit(cfg, say, "naive-tos", 12, "completed-yet-bivalent",
+    return _demo_audit(cfg, say, "naive-tos", "completed-yet-bivalent",
                        "branch responses", "strong-linearizability")
 
 
@@ -353,7 +325,7 @@ def _demo_claim3(cfg, say) -> bool:
 def _demo_hbi(cfg, say) -> bool:
     scenario = build_scenario("abd-tos")
     _seed_rotation(scenario, cfg["seed"])
-    rounds = _opt(cfg, "rounds", 3)
+    rounds = cfg["rounds"]
     if rounds < 1:  # no round would schedule anything, yet the demo would pass
         raise ConfigError(f"demo hbi needs rounds of at least 1, not {rounds}")
     report = build_hbi(scenario, rounds)
@@ -373,7 +345,7 @@ def _demo_hbi(cfg, say) -> bool:
 
 
 def _demo_subclaim_wsl(cfg, say) -> bool:
-    return _demo_audit(cfg, say, "abd-reg", 16, "completed-write bivalent",
+    return _demo_audit(cfg, say, "abd-reg", "completed-write bivalent",
                        "read outcomes across branches", "write-strong", completes="WRITE")
 
 
@@ -407,13 +379,12 @@ _DEMOS = {
 }
 
 
-def cmd_demo(cfg) -> int:
+def cmd_demo(cfg) -> tuple:
     token = cfg["claim"]
     lines: list = []
     ok = _DEMOS[token](cfg, lines.append)
     lines.append(f"[{token}] {'PASS' if ok else 'FAIL'}")
-    _emit("\n".join(lines), cfg["out"])
-    return 0 if ok else 1
+    return "\n".join(lines), 0 if ok else 1
 
 
 # --- argument plumbing ----------------------------------------------------------
@@ -429,39 +400,41 @@ _COMMANDS = {
     "demo": cmd_demo,
 }
 
-# The settings each command, and each demo token, reads. Any other
-# setting given to it, by flag or config file, is a configuration error.
+# The settings each command, and each demo token, reads, with the value
+# a missing or null one takes. Any other setting given to it, by flag or
+# config file, is a configuration error. A null default leaves the value
+# to the command: the protocol's own n and checker mode, the valence
+# module's FAIR_BOUND and VALENCE_DEPTH, no crash, seed or schedule.
 _READS = {
-    "simulate": ("protocol", "n", "depth", "crash", "seed", "schedule"),
-    "check": ("protocol", "n", "depth", "mode", "max_nodes"),
-    "valence": ("protocol", "n", "depth"),
-    "explore": ("protocol", "n", "depth", "max_triples"),
-    "hbi": ("protocol", "n", "depth", "rounds", "seed"),
-    "progress": ("protocol", "n", "depth"),
-    "demo init-bivalent": ("protocol", "n"),
-    "demo claim2": ("depth",),
-    "demo claim3": (),
-    "demo hbi": ("rounds", "seed"),
-    "demo subclaim-wsl": ("depth",),
-    "demo appendix": (),
+    "simulate": {"protocol": "naive-tos", "n": None, "depth": None, "crash": None,
+                 "seed": None, "schedule": None},
+    "check": {"protocol": "naive-tos", "n": None, "depth": 4, "mode": None, "max_nodes": 600},
+    "valence": {"protocol": "naive-tos", "n": None, "depth": None},
+    "explore": {"protocol": "naive-tos", "n": None, "depth": 10, "max_triples": 1},
+    "hbi": {"protocol": "naive-tos", "n": None, "depth": 6, "rounds": 3, "seed": None},
+    "progress": {"protocol": "naive-tos", "n": None, "depth": 6},
+    "demo init-bivalent": {"protocol": "naive-tos", "n": None},
+    "demo claim2": {"depth": 12},
+    "demo claim3": {},
+    "demo hbi": {"rounds": 3, "seed": None},
+    "demo subclaim-wsl": {"depth": 16},
+    "demo appendix": {},
 }
 
 _SHARED = ("out", "claim")  # every command reads out; claim names the demo
 _CONFIG_KEYS = {key for reads in _READS.values() for key in reads}.union(_SHARED)
+_INT_KEYS = ("n", "depth", "rounds", "crash", "seed", "max_nodes", "max_triples")
 
-
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="linlab",
-        description="simulate message-passing protocols and audit their "
-        "linearizability, valence and progress properties",
-    )
-    p.add_argument("command", choices=_COMMANDS)
-    p.add_argument("claim", nargs="?", choices=sorted(_DEMOS), help="demo token")
-    for name in ("protocol", "n", "depth", "rounds", "crash", "mode", "seed", "out"):
-        p.add_argument(f"--{name}", type=int if name in _INT_KEYS else None)
-    p.add_argument("--config", help="JSON config; overrides flags")
-    return p
+_PARSER = argparse.ArgumentParser(
+    prog="linlab",
+    description="simulate message-passing protocols and audit their "
+    "linearizability, valence and progress properties",
+)
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("claim", nargs="?", choices=sorted(_DEMOS), help="demo token")
+for _name in ("protocol", "n", "depth", "rounds", "crash", "mode", "seed", "out"):
+    _PARSER.add_argument(f"--{_name}", type=int if _name in _INT_KEYS else None)
+_PARSER.add_argument("--config", help="JSON config; overrides flags")
 
 
 def _load_config(cfg: dict) -> dict:
@@ -480,9 +453,6 @@ def _load_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     cfg.update(overrides)  # config file wins over flags
     return cfg
-
-
-_INT_KEYS = ("n", "depth", "rounds", "crash", "seed", "max_nodes", "max_triples")
 
 
 def _check_types(cfg: dict) -> None:
@@ -518,23 +488,32 @@ def _refuse_unread(name: str, cfg: dict) -> None:
 
 
 def main(argv=None) -> int:
-    cfg = vars(_parser().parse_args(argv))
+    cfg = vars(_PARSER.parse_args(argv))
     command = cfg.pop("command")
     try:
         cfg = _load_config(cfg)
         _check_types(cfg)
-        claim = cfg["claim"]
-        _refuse_unread(command if claim is None else f"{command} {claim}", cfg)
-        if cfg["out"] is not None:  # refused before the search runs, not after
+        name = command if cfg["claim"] is None else f"{command} {cfg['claim']}"
+        _refuse_unread(name, cfg)
+        for key, default in _READS[name].items():
+            if cfg.get(key) is None:
+                cfg[key] = default
+        out = cfg["out"]
+        if out is not None:  # refused before the search runs, not after
             try:
-                open(cfg["out"], "a").close()  # creates the file but truncates none
+                open(out, "a").close()  # creates the file but truncates none
             except OSError as exc:
-                raise ConfigError(f"cannot open out {cfg['out']}: {exc.strerror}") from None
-        cfg["protocol"] = _opt(cfg, "protocol", "naive-tos")
-        return _COMMANDS[command](cfg)
+                raise ConfigError(f"cannot open out {out}: {exc.strerror}") from None
+        text, code = _COMMANDS[command](cfg)
     except (ConfigError, SizeLimitError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if out is None:
+        sys.stdout.write(text + "\n")
+    else:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

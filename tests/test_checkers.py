@@ -247,6 +247,17 @@ class TestOracleLimits:
         with pytest.raises(SizeLimitError):
             brute_force_strategy_oracle(tree, TOS_SPEC, node_limit=0)
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown mode 'linear'$"):
+            brute_force_strategy_oracle(ExecutionTree(H()), TOS_SPEC, mode="linear")
+
+    def test_cand_limit_enforced(self):
+        # the empty history has exactly one linearization, the empty one
+        tree = ExecutionTree(H())
+        with pytest.raises(SizeLimitError, match=r"^node 0 has more than 0 linearizations$"):
+            brute_force_strategy_oracle(tree, TOS_SPEC, cand_limit=0)
+        assert isinstance(brute_force_strategy_oracle(tree, TOS_SPEC, cand_limit=1), Strategy)
+
 
 def sequential_reads(count):
     events = []

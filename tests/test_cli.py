@@ -51,10 +51,8 @@ class TestSimulate:
             json.dumps(
                 {
                     "protocol": "naive-tos",
-                    "schedule": [
-                        {"process": 1, "message_uid": None},
-                        {"process": 1, "message_uid": None},
-                    ],
+                    # a left-out message_uid is the idle receipt too
+                    "schedule": [{"process": 1, "message_uid": None}, {"process": 1}],
                 }
             )
         )
@@ -62,7 +60,7 @@ class TestSimulate:
         assert code == 0
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert len(lines) == 3  # header + the two scripted steps
-        assert all(rec["process"] == 1 for rec in lines[1:])
+        assert all((rec["process"], rec["message_uid"]) == (1, None) for rec in lines[1:])
 
     def test_a_simulated_run_replays_as_its_schedule(self, capsys, tmp_path):
         # 36 of the fair run's 55 steps receive a message, which the
@@ -135,8 +133,10 @@ class TestSimulate:
              "schedule[1]: process 1 is crashed"),
             ({"schedule": [{"process": 1, "message_uid": None}], "depth": 4},
              "depth bounds the fair schedule; it does not apply beside schedule"),
+            ({"schedule": [{"process": 1}, {"process": 0, "message_id": 1024}]},
+             "schedule[1]: unknown key 'message_id'"),
         ],
-        ids=["crashed process steps", "depth beside schedule"],
+        ids=["crashed process steps", "depth beside schedule", "misspelt message_uid"],
     )
     def test_schedule_the_run_would_not_follow_is_refused(
         self, capsys, tmp_path, config, message
@@ -329,6 +329,28 @@ class TestConfigHandling:
         code, _ = run_cli(capsys, "valence", "--config", str(cfgfile))
         assert code == 2
 
+    def test_a_config_that_is_not_an_object_exits_two(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps([{"protocol": "abd-tos"}]))
+        code = main(["valence", "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: config file must hold a JSON object\n"
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        # the parser is built once, at import; main used to build it anew
+        # for every call
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        for argv, want in ((["valence"], 0), (["check", "--depth", "2"], 0),
+                           (["demo", "claim3"], 0), (["valence", "--rounds", "1"], 2)):
+            assert main(argv) == want
+        with pytest.raises(SystemExit):
+            main(["bogus"])
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -419,7 +441,7 @@ class TestConfigHandling:
         # it used to run the whole search, then die writing the report
         # with a traceback and exit 1, the code of a violation
         ran = []
-        monkeypatch.setitem(cli._COMMANDS, "valence", lambda cfg: ran.append(cfg) or 0)
+        monkeypatch.setitem(cli._COMMANDS, "valence", lambda cfg: ran.append(cfg) or ("", 0))
         target = where(tmp_path)
         code = main(["valence", "--out", str(target)])
         captured = capsys.readouterr()
@@ -625,14 +647,15 @@ def recorded(monkeypatch):
     seen = []
     for command in cli._COMMANDS:
         if command != "demo":
-            monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
+            monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or ("", 0))
     for token in cli._DEMOS:
         monkeypatch.setitem(cli._DEMOS, token, lambda cfg, say: seen.append(cfg) or True)
     return seen
 
 
 def readme_reads() -> dict:
-    """The README's table of the settings each command reads."""
+    """The README's table of the settings each command reads, each with
+    the default it shows in brackets, or None where it shows none."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = text[text.index("| command | settings it reads |"):].splitlines()
     rows = {}
@@ -640,7 +663,10 @@ def readme_reads() -> dict:
         if not line.startswith("|"):
             break
         name, reads = (cell.strip() for cell in line.strip("|").split("|"))
-        rows[name.strip("`")] = tuple(re.findall(r"`(\w+)`", reads))
+        rows[name.strip("`")] = {
+            key: int(default) if default.isdigit() else default or None
+            for key, default in re.findall(r"`(\w+)`(?: \(([^)]+)\))?", reads)
+        }
     return rows
 
 

@@ -117,6 +117,14 @@ class TestStepApplication:
         assert trace_records(s.initial(), hist, s.system) == trace_records(
             s.initial(), hist, s.system)
 
+    @pytest.mark.parametrize("p", [2, -1])
+    def test_a_step_of_a_process_that_does_not_exist_is_refused(self, p):
+        s = build_scenario("naive-tos")
+        assert not applicable(s.initial(), Step(p, None))
+        message = rf"^Step\({p}, None\) not applicable \(no process {p}\)$"
+        with pytest.raises(NotApplicable, match=message):
+            apply_step(s.initial(), Step(p, None), s.system)
+
     def test_receiving_absent_message_rejected(self):
         s = build_scenario("naive-tos")
         init = s.initial()

@@ -24,12 +24,13 @@ from linlab.protocols import (
     BuiltProtocol,
     DriverProgram,
     Invoke,
+    RegisterToSAdapter,
     ScriptedSystem,
     SendTag,
     WaitFor,
     build_protocol,
 )
-from linlab.seqspec import OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
+from linlab.seqspec import IllegalOp, OpHistory, Op, READ, REG_SPEC, RESPONSE, TEST, write
 from linlab.valence import Scenario, build_scenario, completed_count, fair_completion, reach
 
 from conftest import buffer
@@ -287,6 +288,54 @@ class TestDriverPrograms:
         run.step(0, qt[0])
         invs = [ev for ev in run.events if ev.process == 0 and ev.op.name == "READ"]
         assert not invs
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "writers,reader,message",
+        [((), 0, "need at least one writer and a reader"),
+         ((1,), 3, "need at least one writer and a reader"),
+         ((1, 3), 0, "writer ids must be process ids")],
+        ids=["no writer", "reader out of range", "writer out of range"],
+    )
+    def test_register_roles_must_be_process_ids(self, writers, reader, message):
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            AbdRegisterProtocol(3, writers=writers, reader=reader)
+
+    def test_register_invokes_one_operation_at_a_time(self):
+        inner = AbdRegisterProtocol(3, writers=(1,), reader=0)
+        busy = inner.invoke(inner.init_state(0), READ).state
+        with pytest.raises(PreconditionViolated, match="^one operation per process at a time$"):
+            inner.invoke(busy, READ)
+
+    @pytest.mark.parametrize(
+        "process,op,message",
+        [(2, write(1), "process 2 is not a writer"), (1, READ, "process 1 is not the reader")],
+        ids=["write", "read"],
+    )
+    def test_register_refuses_an_op_outside_the_role(self, process, op, message):
+        inner = AbdRegisterProtocol(3, writers=(1,), reader=0)
+        with pytest.raises(IllegalOp, match=f"^{message}$"):
+            inner.invoke(inner.init_state(process), op)
+
+    def test_flag_adapter_needs_a_single_writer_register(self):
+        with pytest.raises(
+            PreconditionViolated, match="^flag adapter expects a single-writer register$"
+        ):
+            RegisterToSAdapter(AbdRegisterProtocol(3, writers=(0, 1), reader=0))
+
+    def test_driver_with_more_scripts_than_processes_is_refused(self):
+        driver = DriverProgram(((),) * 4, None, None)
+        with pytest.raises(
+            PreconditionViolated, match="^driver has more scripts than the protocol has processes$"
+        ):
+            ScriptedSystem(AbdRegisterProtocol(3, writers=(1,), reader=0), driver, "four-scripts")
+
+    def test_unknown_driver_action_is_refused(self):
+        driver = DriverProgram((("SKIP",),), None, None)
+        system = ScriptedSystem(AbdRegisterProtocol(3, writers=(1,), reader=0), driver, "skip")
+        with pytest.raises(PreconditionViolated, match="^unknown driver action 'SKIP'$"):
+            system.transition(system.init_state(0), None)
 
 
 class TestPackedIdentifiers:

@@ -22,6 +22,7 @@ from linlab.seqspec import (
     TOS_SPEC,
     IllegalOp,
     MalformedHistory,
+    OperationEvent,
     OpHistory,
     inv,
     res,
@@ -95,6 +96,17 @@ class TestHistoryReconstruction:
     def test_double_invocation_same_process_rejected(self):
         with pytest.raises(MalformedHistory):
             OpHistory([inv(TEST, 0, 1), inv(READ, 0, 2)])
+
+    @pytest.mark.parametrize(
+        "response", [res(SET, 0, 1, DONE), res(TEST, 1, 1, 0)], ids=["op", "process"]
+    )
+    def test_response_that_does_not_match_its_invocation_rejected(self, response):
+        with pytest.raises(MalformedHistory, match=r"^response mismatch for op_id 1$"):
+            OpHistory([inv(TEST, 0, 1), response])
+
+    def test_unknown_event_kind_rejected(self):
+        with pytest.raises(MalformedHistory, match=r"^unknown event kind 'crash'$"):
+            OpHistory([OperationEvent("crash", TEST, 0, 1)])
 
     def test_op_id_reuse_rejected(self):
         with pytest.raises(MalformedHistory):

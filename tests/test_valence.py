@@ -17,6 +17,8 @@ from linlab.checkers import (
     write_strong_linearization_exists,
 )
 from linlab.model import (
+    Message,
+    NotApplicable,
     PreconditionViolated,
     Step,
     apply_history,
@@ -189,6 +191,12 @@ class TestBivalentSuccessor:
         assert flip["valences"][0] != flip["valences"][1]
         for flip in out.evidence:  # each flip's detour is replayed for its fair run
             assert isinstance(flip["progress_without_that_process"], bool)
+
+    def test_an_inapplicable_forced_step_is_refused(self):
+        s = build_scenario("naive-tos")
+        ghost = Message(seq=99, sender=0, receiver=1, payload=("NOPE",))
+        with pytest.raises(NotApplicable, match="is not applicable at the starting configuration$"):
+            bivalent_successor(s, s.initial(), Step(1, ghost))
 
     def test_search_reports_exploration_size(self):
         s = build_scenario("naive-tos")
