@@ -4,6 +4,7 @@ import random
 from itertools import product
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,28 @@ class TestNonblocking:
         assert out["condition"] == "nonblocking"
         assert out["holds"] is False
         assert out["witness"]["crash_set"] == sorted(verdict.witness.crash_set)
+
+
+# (protocol, n, depth) -> (holds, exhausted) of check_1rlf, then of
+# check_nonblocking, frozen from the sweep that fair-ran every (class,
+# crash set) pair: depths 0 to 8 at the default n, and three sweeps
+# deep enough to exhaust the space
+FROZEN_VERDICTS = {
+    **{("naive-tos", None, d): (True, d >= 4, True, d >= 4) for d in range(9)},
+    **{(name, None, d): (True, False, d == 0, False)
+       for name in ("abd-tos", "abd-reg", "trivial-ack") for d in range(9)},
+    ("trivial-ack", 4, 14): (True, True, False, False),
+    ("trivial-ack", 5, 30): (True, True, False, False),
+    ("naive-tos", 3, 30): (True, True, True, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_VERDICTS, key=str), ids=str)
+def test_verdicts_match_the_frozen_table(case):
+    name, n, depth = case
+    s = build_scenario(name, n)
+    one, nb = check_1rlf(s, depth), check_nonblocking(s, depth)
+    assert (one.holds, one.exhausted, nb.holds, nb.exhausted) == FROZEN_VERDICTS[case]
 
 
 class TestImplicationAudit:
