@@ -451,7 +451,7 @@ def _load_config(cfg: dict) -> dict:
     unknown = set(overrides) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    cfg.update(overrides)  # config file wins over flags
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)  # wins over flags
     return cfg
 
 

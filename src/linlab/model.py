@@ -218,7 +218,13 @@ def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -
     channels = config.channels
     if sends:
         count = list(channels[p])
-        post(inbox, count, p, sends)
+        for receiver, payload in sends:
+            # tuple.__new__ skips NamedTuple's Python-level __new__; rows stay sorted
+            m = tuple.__new__(Message, (count[receiver], p, receiver, payload))
+            count[receiver] += 1
+            row = inbox[receiver]
+            j = bisect_right(row, m)
+            inbox[receiver] = row[:j] + (m,) + row[j:]
         channels = list(channels)
         channels[p] = tuple(count)
         channels = tuple(channels)
@@ -226,20 +232,6 @@ def apply_step(config: Configuration, step, protocol, i: Optional[int] = None) -
     states = list(states)
     states[p] = effect.state
     return Configuration(tuple(states), tuple(inbox), channels)
-
-
-def post(inbox: list, count: list, p: int, sends) -> None:
-    """File the (receiver, payload) pairs that process p sends into
-    their receivers' rows of `inbox`, numbering each by `count`, p's
-    per-receiver send counts. Both lists are updated in place; each row
-    stays a tuple ordered by (seq, sender), see the module docstring."""
-    for receiver, payload in sends:
-        # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
-        m = tuple.__new__(Message, (count[receiver], p, receiver, payload))
-        count[receiver] += 1
-        row = inbox[receiver]
-        j = bisect_right(row, m)
-        inbox[receiver] = row[:j] + (m,) + row[j:]
 
 
 def apply_history(
@@ -281,19 +273,20 @@ def enabled_steps(config: Configuration, process: int) -> tuple[Step, ...]:
     return (Step(process, None),) + tuple(Step(process, m) for m in config.inbox[process])
 
 
+def schedule_records(history: Sequence[Step]) -> list[dict]:
+    """A schedule as the {process, message_uid} records `simulate --config` replays."""
+    return [{"process": p, "message_uid": None if m is None else m.uid} for p, m in history]
+
+
 def trace_records(
     initial: Configuration, history: Sequence[Step], protocol
 ) -> list[dict]:
     """One JSON-ready record per applied step (the wire trace format).
     Raises NotApplicable, with its index, for a step that cannot apply."""
     _, trace = apply_history(initial, history, protocol)
-    return [
-        {
-            "step_index": i,
-            "process": step.process,
-            "message_uid": None if step.received is None else step.received.uid,
-            "events_emitted": [ev.to_json() for ev in logged_events(current, (step,), protocol)],
-            "buffer_size": sum(map(len, nxt.inbox)),
-        }
-        for i, (step, current, nxt) in enumerate(zip(history, trace, trace[1:]))
-    ]
+    records = schedule_records(history)
+    for i, (rec, step, current, nxt) in enumerate(zip(records, history, trace, trace[1:])):
+        events = logged_events(current, (step,), protocol)
+        rec.update(step_index=i, events_emitted=[ev.to_json() for ev in events],
+                   buffer_size=sum(map(len, nxt.inbox)))
+    return records

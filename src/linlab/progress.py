@@ -16,6 +16,14 @@ max(0, s - (c - 1)) servers stay alive; when that floor is zero the
 adversary may take every server, which the verdict flags, since it
 usually signals a degenerate split rather than an interesting
 guarantee.
+
+No stall needs a fair run from every class. Apart from steps that
+change nothing, no step can be undone: a send raises a channel count, a
+receipt shrinks the buffer, and an idle step that does neither must
+raise SysState.pc or SysState.done, which the sweep checks on every
+class. So a fair run that completes nothing ends in a class where every
+survivor is still, its inbox empty and its idle step a no-op: a terminal
+component (Emerson & Lei, "Modalities for model checking", 1987).
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .model import Step, logged_events, post
+from .model import PreconditionViolated, Step, apply_step, logged_events, schedule_records
 from .protocols import PROTOCOLS
-from .seqspec import RESPONSE, OpHistory
+from .seqspec import OpHistory
 from .valence import FAIR_BOUND, Scenario, build_scenario, reach
 
 
@@ -77,69 +85,59 @@ class ProgressVerdict:
             "depth": self.depth,
             "exhausted": self.exhausted,
             "notes": dict(self.notes),
-            "witness": None
-            if self.witness is None
-            else {
-                "base_steps": len(self.witness.base_history),
+            "witness": None if self.witness is None else {
+                "base": schedule_records(self.witness.base_history),
                 "crash_set": sorted(self.witness.crash_set),
                 "pending": list(self.witness.pending),
-                "extension_steps": len(self.witness.extension),
+                "extension": schedule_records(self.witness.extension),
                 "extension_quiescent": self.witness.extension_quiescent,
             },
         }
 
 
-def _fair_progress(scenario: Scenario, config, live, bound: int):
-    """Round-robin the live processes, oldest message first, until some
-    operation completes, and then return None.
+def _still(system, config, live) -> bool:
+    """Whether every live process is still in config: its inbox is
+    empty and its idle receipt keeps its state and sends nothing, so a
+    round of their idle steps returns config itself, and so does every
+    round after it."""
+    return all(not config.inbox[p] and apply_step(config, (p, None), system, -1) is config
+               for p in live)
+
+
+def _fair_progress(system, config, live, bound: int = FAIR_BOUND):
+    """Round-robin the live processes through apply_step, oldest
+    message first, and return None at the first step that completes an
+    operation (raises the stepping process's SysState.done).
 
     A run that completes nothing is returned as (extension, quiescent):
-    it is quiescent when a whole round received and sent nothing and
-    left every state as it was, so that the core (states, inboxes,
-    channels) is unchanged and every later round repeats it, and
-    otherwise it kept changing until the bound stopped it. A last
-    round cut short by the bound never counts as quiescent.
-
-    The run steps private working copies of config's states, inboxes
-    and channel counts in place, through the protocol's transition and
-    model.post, rather than building a Configuration per step. Only
-    states need a snapshot per round: a round that received nothing
-    and sent nothing left every inbox as it was, and one that did
-    either changed the core.
-    """
-    transition = scenario.system.transition
-    live = sorted(live)
-    states = list(config.states)
-    inbox = list(config.inbox)
-    counts = [list(row) for row in config.channels]
-    extension: list = []  # (process, received) pairs, made Steps for a stall
-    while len(extension) < bound:
-        before = tuple(states)
-        moved = False
-        turn = live[: bound - len(extension)]
-        for p in turn:
-            row = inbox[p]
-            m = row[0] if row else None
-            effect = transition(states[p], m)
-            extension.append((p, m))
-            if effect.events and any(ev.kind == RESPONSE for ev in effect.events):
+    quiescent once the live processes are still (_still) at a round
+    boundary, the extension then ending with their no-op round, and
+    otherwise cut by the bound, even mid-round."""
+    extension: list = []
+    while not _still(system, config, live):
+        for p in live:
+            if len(extension) == bound:
+                return tuple(extension), False
+            row = config.inbox[p]
+            step = tuple.__new__(Step, (p, row[0] if row else None))  # from inbox[p]
+            nxt = apply_step(config, step, system, 0 if row else -1)
+            extension.append(step)
+            if nxt.states[p].done > config.states[p].done:
                 return None
-            states[p] = effect.state
-            if row:
-                inbox[p] = row[1:]
-                moved = True
-            if effect.sends:
-                post(inbox, counts[p], p, effect.sends)
-                moved = True
-        if len(turn) == len(live) and not moved and before == tuple(states):
-            return tuple(Step(p, m) for p, m in extension), True
-    return tuple(Step(p, m) for p, m in extension), False
+            config = nxt
+    return tuple(extension) + tuple(Step(p) for p in live), True
 
 
 def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes: dict):
     """Shared engine: for every reachable configuration and every crash
     choice with a surviving pending operation, demand fair progress, and
     return the ProgressVerdict on `condition` with `notes` attached.
+
+    A class short of `depth` stalls exactly when its survivors are still
+    (_still); the witness's extension is their no-op round. A class at
+    `depth` gets a fair run (_fair_progress), since the sweep does not
+    see its successors. A class whose idle step breaks the module
+    docstring's rule is refused (PreconditionViolated).
 
     Which processes wait on an operation is read from their states (the
     implementation's `pending`); only a witness's labels are read from
@@ -148,22 +146,33 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes:
     The sweep is exhausted when no class lies beyond `depth`: the first
     class reach yields at depth + 1 ends it unexhausted. A witness ends
     it early too, so the sweep is then not exhausted either."""
+    system = scenario.system
     verdict = ProgressVerdict(condition, None, 0, depth, exhausted=False, notes=notes)
     init = scenario.initial()
     for config, hist, d in reach(scenario, init, depth + 1):
         if d > depth:
             return verdict
         verdict.configs_checked += 1
+        for p, state in enumerate(config.states):
+            child = apply_step(config, (p, None), system, -1)
+            idle = child.states[p]
+            if (idle is not state and child.channels == config.channels
+                    and idle.pc <= state.pc and idle.done <= state.done):
+                raise PreconditionViolated(
+                    f"{scenario.name}: an idle step of process {p} changes its state without"
+                    " sending or raising its pc or done, so a livelock could hide from the sweep")
         waiting = {p for p, s in enumerate(config.states) if s.impl.pending is not None}
         for crashed in crash_choices:
             if waiting <= crashed:
                 continue
             live = [p for p in range(scenario.n) if p not in crashed]
-            stall = _fair_progress(scenario, config, live, FAIR_BOUND)
+            if d < depth and not _still(system, config, live):
+                continue
+            stall = _fair_progress(system, config, live)
             if stall is not None:
                 survivors = tuple(
                     f"{o.op}#{o.op_id}@p{o.process}"
-                    for o in OpHistory(logged_events(init, hist, scenario.system)).pending_ops()
+                    for o in OpHistory(logged_events(init, hist, system)).pending_ops()
                     if o.process not in crashed
                 )
                 verdict.witness = ProgressWitness(hist, frozenset(crashed), survivors, *stall)

@@ -72,7 +72,8 @@ class ProtocolUnderTest:
     process's id, and a `pending` field, which is None exactly when the
     process has no operation in flight. ScriptedSystem reads both: it
     picks the script by `pid`, and invokes an operation or sends a
-    driver tag only while `pending` is None.
+    driver tag only while `pending` is None. An idle receipt that changes
+    the state must also send or complete an operation (linlab.progress).
     """
 
     num_processes: int = 0

@@ -54,6 +54,7 @@ from .model import (
     applicable,
     initial_configuration,
     logged_events,
+    schedule_records,
 )
 from .protocols import BuiltProtocol, build_protocol
 from .seqspec import OpHistory, RESPONSE
@@ -456,12 +457,7 @@ class Valence:
         return {
             "tag": self.tag.value,
             "certificates": {
-                str(v): [
-                    {"process": s.process,
-                     "message_uid": None if s.received is None else s.received.uid}
-                    for s in hist
-                ]
-                for v, hist in sorted(self.certificates.items())
+                str(v): schedule_records(hist) for v, hist in sorted(self.certificates.items())
             },
             "exhausted": self.exhausted,
             "depth": self.depth,

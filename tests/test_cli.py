@@ -489,6 +489,15 @@ class TestConfigHandling:
         cfgfile.write_text(json.dumps({key: None}))
         assert run_cli(capsys, *argv, "--config", str(cfgfile)) == want
 
+    def test_null_config_value_keeps_the_flag(self, capsys, tmp_path):
+        # {"depth": null} beside --depth 3 used to run at the default depth 4
+        want = run_cli(capsys, "check", "--protocol", "naive-tos", "--depth", "3")
+        assert json.loads(want[1])["depth"] == 3
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"depth": None}))
+        argv = ["check", "--protocol", "naive-tos", "--depth", "3", "--config", str(cfgfile)]
+        assert run_cli(capsys, *argv) == want
+
     @pytest.mark.parametrize(
         "argv,config",
         [

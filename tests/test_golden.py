@@ -100,13 +100,47 @@ def test_golden_file_is_laid_out_as_written(case):
     assert raw == text(json.loads(raw))
 
 
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("progress-")))
+def test_progress_witness_replays_through_simulate(case, tmp_path):
+    report = json.loads(json.loads((GOLDEN / f"{case}.json").read_text())["stdout"])
+    for condition in ("one_rlf", "nonblocking"):
+        w = report[condition]["witness"]
+        if w is None:
+            continue
+        config = tmp_path / f"{condition}.json"
+        schedule = w["base"] + w["extension"]
+        config.write_text(json.dumps({"protocol": report["protocol"], "schedule": schedule}))
+        code, out = run(["simulate", "--config", str(config)])
+        header, *steps = (json.loads(line) for line in out.splitlines())
+        assert (code, len(steps)) == (0, len(schedule))
+        extension = steps[len(w["base"]):]
+        assert not any(rec["process"] in w["crash_set"] for rec in extension)
+        kinds = {ev["kind"] for rec in extension for ev in rec["events_emitted"]}
+        assert "response" not in kinds
+        if w["extension_quiescent"]:
+            # the survivors' last round receives nothing and changes nothing
+            survivors = header["n"] - len(w["crash_set"])
+            buffered = steps[-survivors - 1]["buffer_size"] if len(steps) > survivors else 0
+            for rec in extension[-survivors:]:
+                assert rec["message_uid"] is None
+                assert (rec["buffer_size"], rec["events_emitted"]) == (buffered, [])
+
+
 def write() -> None:
+    """Rewrite every golden file, and name the cases whose exit code or
+    stdout changed."""
     GOLDEN.mkdir(exist_ok=True)
+    unchanged = 0
     for case, argv in sorted(CASES.items()):
         code, out = run(argv)
-        record = {"argv": argv, "exit": code, "stdout": out}
-        (GOLDEN / f"{case}.json").write_text(text(record))
-        print(f"{case}: exit {code}, {len(out)} bytes")
+        path = GOLDEN / f"{case}.json"
+        old = json.loads(path.read_text()) if path.exists() else {}
+        if (old.get("exit"), old.get("stdout")) == (code, out):
+            unchanged += 1
+        else:
+            print(f"{case}: exit {code}, {len(out)} bytes")
+        path.write_text(text({"argv": argv, "exit": code, "stdout": out}))
+    print(f"{unchanged} unchanged")
 
 
 if __name__ == "__main__":

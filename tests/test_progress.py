@@ -1,16 +1,18 @@
 """Progress conditions: single-crash lock-freedom and the quorum-split rule."""
 
 import random
+from dataclasses import dataclass, replace
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linlab.cli import main
 from linlab.model import (
     Effect,
     Message,
+    PreconditionViolated,
     Step,
     apply_history,
     apply_step,
@@ -26,43 +28,16 @@ from linlab.progress import (
     implication_audit,
 )
 from linlab.protocols import (
+    PROTOCOLS,
     BuiltProtocol,
     DriverProgram,
     Invoke,
+    ProtocolUnderTest,
     ScriptedSystem,
     TrivialAckProtocol,
 )
 from linlab.seqspec import RESPONSE, Op
 from linlab.valence import FAIR_BOUND, Scenario, build_scenario, completed_count
-
-
-def reference_fair_progress(s, config, live, bound):
-    """_fair_progress stepped through apply_step, one Configuration per
-    step, as it ran before it stepped private working rows. A round
-    counts as quiescent only when it is whole and left the states and
-    the inboxes as they were. _fair_progress also asks that the round
-    sent nothing; the two differ only on a round that sends a message,
-    receives it again and restores every state (see Echo below)."""
-    live = sorted(live)
-    current = config
-    extension = []
-    while len(extension) < bound:
-        before = current
-        whole = True
-        for p in live:
-            if len(extension) >= bound:
-                whole = False
-                break
-            row = current.inbox[p]
-            step = Step(p, row[0] if row else None)
-            nxt = apply_step(current, step, s.system)
-            extension.append(step)
-            if any(ev.kind == RESPONSE for ev in logged_events(current, (step,), s.system)):
-                return None
-            current = nxt
-        if whole and current.states == before.states and current.inbox == before.inbox:
-            return tuple(extension), True
-    return tuple(extension), False
 
 
 def crash_choices(s):
@@ -241,14 +216,14 @@ class TestImplicationAudit:
 
 
 class TestFairProgress:
-    """The working-row fair loop against the apply_step reference."""
+    """The fair run that _sweep gives a class at the depth bound."""
 
     WALKS = [("naive-tos", None), ("abd-tos", None), ("abd-reg", None),
              ("trivial-ack", None), ("abd-tos", 5), ("trivial-ack", 6)]
 
     @given(st.sampled_from(WALKS), st.integers(0, 2**32 - 1), st.integers(1, 30))
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_reference_and_stalls_replay(self, walk, seed, bound):
+    def test_stalls_replay_and_longer_bounds_extend_them(self, walk, seed, bound):
         name, n = walk
         s = build_scenario(name, n)
         rng = random.Random(seed)
@@ -256,22 +231,37 @@ class TestFairProgress:
         for _ in range(6):
             for crashed in crash_choices(s):
                 live = [p for p in range(s.n) if p not in crashed]
-                got = _fair_progress(s, config, live, bound)
-                assert got == reference_fair_progress(s, config, live, bound)
+                got = _fair_progress(s.system, config, live, bound)
+                full = _fair_progress(s.system, config, live)
                 if got is None:
+                    assert full is None
+                    cut = _fair_progress(s.system, config, live, bound - 1)
+                    if cut is not None:
+                        # the run's next step, round-robin and oldest
+                        # message first, completes an operation
+                        end, _ = apply_history(config, cut[0], s.system)
+                        p = live[len(cut[0]) % len(live)]
+                        row = end.inbox[p]
+                        after = apply_step(end, Step(p, row[0] if row else None), s.system)
+                        assert completed_count(after) == completed_count(config) + 1
                     continue
                 extension, quiescent = got
                 assert all(step.process in live for step in extension)
+                events = logged_events(config, extension, s.system)
+                assert not any(ev.kind == RESPONSE for ev in events)
                 end, _ = apply_history(config, extension, s.system)
-                assert completed_count(end) == completed_count(config)
                 if quiescent:
-                    # the live inboxes are empty, so the next round is
-                    # idle receipts, and it changes nothing either
+                    # it ends in a round of idle steps of the live
+                    # processes that changes nothing, and with their
+                    # inboxes empty every later round repeats it
+                    assert extension[-len(live):] == tuple(Step(p) for p in live)
+                    before, _ = apply_history(config, extension[:-len(live)], s.system)
+                    assert end.core_key() == before.core_key()
                     assert not any(end.inbox[p] for p in live)
-                    again, _ = apply_history(end, [Step(p) for p in live], s.system)
-                    assert again.core_key() == end.core_key()
+                    assert full == got
                 else:
                     assert len(extension) == bound
+                    assert full is None or full[0][:bound] == extension
             for _ in range(rng.randrange(1, 6)):
                 p = rng.randrange(s.n)
                 step = rng.choice(enabled_steps(config, p))
@@ -282,32 +272,63 @@ class TestFairProgress:
         # reports is the bound's, and the same run completes at FAIR_BOUND
         s = build_scenario("trivial-ack")
         base = apply_step(s.initial(), Step(0), s.system)  # process 0 invokes
-        live = range(s.n)
-        assert _fair_progress(s, base, live, 1) == ((Step(0),), False)
-        assert _fair_progress(s, base, live, FAIR_BOUND) is None
+        live = list(range(s.n))
+        assert _fair_progress(s.system, base, live, 1) == ((Step(0),), False)
+        assert _fair_progress(s.system, base, live, FAIR_BOUND) is None
 
     def test_a_round_that_sends_is_not_quiescent(self):
         # every round of Echo ends with the states and inboxes it began
         # with, but its channels keep counting: the run never settles
-        s = SimpleNamespace(system=Echo())
-        config = initial_configuration(s.system)
+        system = ScriptedSystem(Echo(), DriverProgram((), None, None), "echo")
+        config = initial_configuration(system)
         pings = [Message(k, 0, 1, ("PING",)) for k in range(5)]
         rounds = tuple(step for m in pings for step in (Step(0), Step(1, m)))
-        assert _fair_progress(s, config, [0, 1], 10) == (rounds, False)
-        assert reference_fair_progress(s, config, [0, 1], 10) == (rounds[:2], True)
+        assert _fair_progress(system, config, [0, 1], 10) == (rounds, False)
         # with 1 crashed the pings pile up in its inbox
-        assert _fair_progress(s, config, [0], 3) == ((Step(0),) * 3, False)
+        assert _fair_progress(system, config, [0], 3) == ((Step(0),) * 3, False)
 
 
-class Echo:
+@dataclass(frozen=True)
+class EchoState:
+    pid: int
+    pending: object = None  # never an operation in flight
+    ticks: int = 0  # idle steps taken, counted only by Tick
+
+
+class Echo(ProtocolUnderTest):
     """Process 0 pings process 1 on every idle step, and 1 drops the
     ping: no state ever changes, yet messages flow in every round."""
 
     num_processes = 2
 
     def init_state(self, p):
-        return p
+        return EchoState(p)
 
     def transition(self, state, received):
-        sends = ((1, ("PING",)),) if state == 0 else ()
+        sends = ((1, ("PING",)),) if state.pid == 0 else ()
         return Effect(state, sends)
+
+
+class Tick(Echo):
+    """Every idle step counts itself and sends nothing: the state moves
+    on forever without the script, a send or a receipt recording it."""
+
+    def transition(self, state, received):
+        return Effect(replace(state, ticks=state.ticks + 1))
+
+
+class TestIdleStepGuard:
+    """The sweep refuses a space whose idle steps could form a cycle."""
+
+    def test_the_api_refuses_an_idle_step_that_only_changes_state(self):
+        system = ScriptedSystem(Tick(), DriverProgram((), None, None), "tick")
+        with pytest.raises(PreconditionViolated, match="idle step of process 0"):
+            check_1rlf(Scenario(BuiltProtocol(system)), depth=2)
+
+    def test_the_cli_exits_2(self, monkeypatch, capsys):
+        driver = DriverProgram((), None, None)
+        monkeypatch.setitem(PROTOCOLS, "tick", (2, lambda n: Tick(), driver, None))
+        assert main(["progress", "--protocol", "tick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tick: an idle step of process 0")
