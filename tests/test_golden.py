@@ -8,12 +8,16 @@ valence.reach (it is the one case where progress's truncation rule and
 classify's disagree), the check cases other than check-naive-tos-sl-d5
 before the schedule tree shared one OpHistory between a node and a
 child that logged nothing, and the demo cases other than demo-claim3,
-hbi-abd-tos-seed1 (the adversary stuck, exit 1), hbi-abd-tos-n4 and
-progress-abd-reg-d6 (which runs abd-reg's tag-query round) before the
-quorum register's reply branches were merged into one. A
-change that alters any of them changes a verdict, a certificate or a
-schedule. Regenerate them only when such a change is intended, and say
-so in CHANGES.md:
+hbi-abd-tos-seed1 (the adversary stuck, exit 1) and hbi-abd-tos-n4
+before the quorum register's reply branches were merged into one.
+progress-abd-reg-d6, progress-abd-tos-d6 and progress-trivial-ack-d6
+were re-frozen when the progress sweep began to find stalls at still
+classes (their nonblocking witnesses now end at the first one) and to
+print each witness's base and extension as the {process, message_uid}
+records that simulate --config replays. A change that alters any of
+them changes a verdict, a certificate or a schedule. Regenerate them
+only when such a change is intended, and list in CHANGES.md the cases
+that --write names as changed:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """

@@ -243,7 +243,7 @@ class TestFairProgress:
                         p = live[len(cut[0]) % len(live)]
                         row = end.inbox[p]
                         after = apply_step(end, Step(p, row[0] if row else None), s.system)
-                        assert completed_count(after) == completed_count(config) + 1
+                        assert completed_count(after) > completed_count(config)
                     continue
                 extension, quiescent = got
                 assert all(step.process in live for step in extension)
