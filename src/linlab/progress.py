@@ -95,26 +95,18 @@ class ProgressVerdict:
         }
 
 
-def _still(system, config, live) -> bool:
-    """Whether every live process is still in config: its inbox is
-    empty and its idle receipt keeps its state and sends nothing, so a
-    round of their idle steps returns config itself, and so does every
-    round after it."""
-    return all(not config.inbox[p] and apply_step(config, (p, None), system, -1) is config
-               for p in live)
-
-
 def _fair_progress(system, config, live, bound: int = FAIR_BOUND):
     """Round-robin the live processes through apply_step, oldest
     message first, and return None at the first step that completes an
     operation (raises the stepping process's SysState.done).
 
-    A run that completes nothing is returned as (extension, quiescent):
-    quiescent once the live processes are still (_still) at a round
-    boundary, the extension then ending with their no-op round, and
-    otherwise cut by the bound, even mid-round."""
+    A run that completes nothing is returned as (extension, quiescent),
+    at most `bound` steps: quiescent once every step of a round returns
+    its input (apply_step's no-op idle receipt), so every later round
+    repeats it, and otherwise cut by the bound, even mid-round."""
     extension: list = []
-    while not _still(system, config, live):
+    while True:
+        start = config
         for p in live:
             if len(extension) == bound:
                 return tuple(extension), False
@@ -125,7 +117,8 @@ def _fair_progress(system, config, live, bound: int = FAIR_BOUND):
             if nxt.states[p].done > config.states[p].done:
                 return None
             config = nxt
-    return tuple(extension) + tuple(Step(p) for p in live), True
+        if config is start:
+            return tuple(extension), True
 
 
 def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes: dict):
@@ -133,11 +126,13 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes:
     choice with a surviving pending operation, demand fair progress, and
     return the ProgressVerdict on `condition` with `notes` attached.
 
-    A class short of `depth` stalls exactly when its survivors are still
-    (_still); the witness's extension is their no-op round. A class at
-    `depth` gets a fair run (_fair_progress), since the sweep does not
-    see its successors. A class whose idle step breaks the module
-    docstring's rule is refused (PreconditionViolated).
+    The sweep steps each process's idle receipt once per class: it
+    refuses one that breaks the module docstring's rule
+    (PreconditionViolated) and notes the still processes, whose inbox is
+    empty and whose idle receipt returns the class. A class short of
+    `depth` stalls exactly when its survivors are all still, so only
+    then is it fair-run (_fair_progress), to their no-op round. A class
+    at `depth` always is, since the sweep does not see its successors.
 
     Which processes wait on an operation is read from their states (the
     implementation's `pending`); only a witness's labels are read from
@@ -153,8 +148,11 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes:
         if d > depth:
             return verdict
         verdict.configs_checked += 1
+        still = set()
         for p, state in enumerate(config.states):
             child = apply_step(config, (p, None), system, -1)
+            if child is config and not config.inbox[p]:
+                still.add(p)
             idle = child.states[p]
             if (idle is not state and child.channels == config.channels
                     and idle.pc <= state.pc and idle.done <= state.done):
@@ -166,7 +164,7 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes:
             if waiting <= crashed:
                 continue
             live = [p for p in range(scenario.n) if p not in crashed]
-            if d < depth and not _still(system, config, live):
+            if d < depth and not still.issuperset(live):
                 continue
             stall = _fair_progress(system, config, live)
             if stall is not None:

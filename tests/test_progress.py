@@ -20,6 +20,7 @@ from linlab.model import (
     initial_configuration,
     logged_events,
 )
+from linlab import progress
 from linlab.progress import (
     _fair_progress,
     allowed_crash_sets,
@@ -197,6 +198,25 @@ def test_verdicts_match_the_frozen_table(case):
     assert (one.holds, one.exhausted, nb.holds, nb.exhausted) == FROZEN_VERDICTS[case]
 
 
+@pytest.mark.parametrize("name, n, depth", [("trivial-ack", 4, 14), ("naive-tos", 3, 30)])
+def test_a_sweep_steps_each_idle_receipt_once(monkeypatch, name, n, depth):
+    # both sweeps hold and exhaust (FROZEN_VERDICTS), so no class gets a
+    # fair run and every idle step the sweep takes is the guard's
+    idle_steps = {}
+
+    def counting(config, step, system, i=None):
+        if step[1] is None:
+            key = (config.core_key(), step[0])
+            idle_steps[key] = idle_steps.get(key, 0) + 1
+        return apply_step(config, step, system, i)
+
+    monkeypatch.setattr(progress, "apply_step", counting)
+    verdict = check_1rlf(build_scenario(name, n), depth)
+    assert verdict.holds and verdict.exhausted
+    assert len(idle_steps) == n * verdict.configs_checked
+    assert set(idle_steps.values()) == {1}
+
+
 class TestImplicationAudit:
     def test_no_row_violates_the_implication(self):
         rows = implication_audit(depth=5)
@@ -233,10 +253,14 @@ class TestFairProgress:
                 live = [p for p in range(s.n) if p not in crashed]
                 got = _fair_progress(s.system, config, live, bound)
                 full = _fair_progress(s.system, config, live)
+                # no run is longer than its bound
+                assert got is None or len(got[0]) <= bound
+                assert full is None or len(full[0]) <= FAIR_BOUND
                 if got is None:
                     assert full is None
                     cut = _fair_progress(s.system, config, live, bound - 1)
                     if cut is not None:
+                        assert len(cut[0]) == bound - 1
                         # the run's next step, round-robin and oldest
                         # message first, completes an operation
                         end, _ = apply_history(config, cut[0], s.system)
@@ -275,6 +299,22 @@ class TestFairProgress:
         live = list(range(s.n))
         assert _fair_progress(s.system, base, live, 1) == ((Step(0),), False)
         assert _fair_progress(s.system, base, live, FAIR_BOUND) is None
+
+    def test_a_run_that_turns_still_in_its_last_round_is_cut(self, monkeypatch):
+        # process 1 alone writes to itself: an idle step sends ST, its
+        # receipt sends ACK, and after the ACK its idle step is a no-op;
+        # that no-op round is the fourth step, so bound 3 cuts the run
+        calls = []
+        monkeypatch.setattr(progress, "apply_step", lambda *a: calls.append(a) or apply_step(*a))
+        s = build_scenario("abd-tos")
+        init = s.initial()
+        cut = _fair_progress(s.system, init, [1], 3)
+        assert cut[1] is False and len(cut[0]) == len(calls) == 3
+        del calls[:]
+        extension, quiescent = _fair_progress(s.system, init, [1], 4)
+        assert quiescent and len(extension) == len(calls) == 4
+        assert extension[:3] == cut[0] and extension[0] == extension[3] == Step(1)
+        assert [step.received.payload[0] for step in extension[1:3]] == ["ST", "ACK"]
 
     def test_a_round_that_sends_is_not_quiescent(self):
         # every round of Echo ends with the states and inboxes it began
