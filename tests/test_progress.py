@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linlab import progress
 from linlab.cli import main
 from linlab.model import (
     Effect,
@@ -20,7 +21,6 @@ from linlab.model import (
     initial_configuration,
     logged_events,
 )
-from linlab import progress
 from linlab.progress import (
     _fair_progress,
     allowed_crash_sets,
