@@ -60,6 +60,15 @@ def _scenario(cfg):
         raise ConfigError(f"bad n for {cfg['protocol']}: {exc}") from None
 
 
+def _deciding_scenario(cfg):
+    """_scenario for a command that classifies valence, refused before
+    any search when the protocol has no decision operation."""
+    scenario = _scenario(cfg)
+    if scenario.decision_process is None:
+        raise ConfigError(f"protocol {cfg['protocol']!r} has no decision operation to classify")
+    return scenario
+
+
 def _seed_rotation(scenario, seed: Optional[int]) -> None:
     """--seed gives hbi the rotation range(n) shuffled by random.Random(seed)."""
     if seed is not None:
@@ -168,9 +177,7 @@ def cmd_check(cfg) -> tuple:
 
 
 def cmd_valence(cfg) -> tuple:
-    scenario = _scenario(cfg)
-    if scenario.decision_process is None:
-        raise ConfigError(f"protocol {cfg['protocol']!r} has no decision operation to classify")
+    scenario = _deciding_scenario(cfg)
     verdict = classify_valence(scenario, scenario.initial(), cfg["depth"])
     report = _json({"protocol": cfg["protocol"], "valence": verdict.to_json()})
     return report, 2 if verdict.tag is ValenceTag.UNKNOWN_AT_BOUND else 0
@@ -212,7 +219,7 @@ def cmd_explore(cfg) -> tuple:
 
 
 def cmd_hbi(cfg) -> tuple:
-    scenario = _scenario(cfg)
+    scenario = _deciding_scenario(cfg)
     _seed_rotation(scenario, cfg["seed"])
     report = build_hbi(scenario, cfg["rounds"], search_depth=cfg["depth"])
     code = 0 if report.stuck is None and report.rounds_completed >= cfg["rounds"] else 1
@@ -237,10 +244,8 @@ def cmd_progress(cfg) -> tuple:
 
 def _demo_init_bivalent(cfg, say) -> bool:
     name = cfg["protocol"]
-    scenario = _scenario(cfg)
+    scenario = _deciding_scenario(cfg)
     tester = scenario.decision_process
-    if tester is None:
-        raise ConfigError(f"protocol {name!r} has no decision operation to classify")
     if scenario.system.driver.decision_op != "TEST":
         # under another driver the probes' orders do not fix the decision:
         # the 2W1R read waits for the write of 1, and the last writer wins

@@ -19,11 +19,12 @@ guarantee.
 
 No stall needs a fair run from every class. Apart from steps that
 change nothing, no step can be undone: a send raises a channel count, a
-receipt shrinks the buffer, and an idle step that does neither must
-raise SysState.pc or SysState.done, which the sweep checks on every
-class. So a fair run that completes nothing ends in a class where every
-survivor is still, its inbox empty and its idle step a no-op: a terminal
-component (Emerson & Lei, "Modalities for model checking", 1987).
+receipt shrinks the buffer, and an idle step that changes a state but
+sends nothing raises SysState.pc or SysState.done, a protocol contract
+that ScriptedSystem checks as it makes each idle effect. So a fair run
+that completes nothing ends in a class where every survivor is still,
+its inbox empty and its idle step a no-op: a terminal component (Emerson
+& Lei, "Modalities for model checking", 1987).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .model import PreconditionViolated, Step, apply_step, logged_events, schedule_records
+from .model import Step, apply_step, logged_events, schedule_records
 from .protocols import PROTOCOLS
 from .seqspec import OpHistory
 from .valence import FAIR_BOUND, Scenario, build_scenario, reach
@@ -126,13 +127,13 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes:
     choice with a surviving pending operation, demand fair progress, and
     return the ProgressVerdict on `condition` with `notes` attached.
 
-    The sweep steps each process's idle receipt once per class: it
-    refuses one that breaks the module docstring's rule
-    (PreconditionViolated) and notes the still processes, whose inbox is
-    empty and whose idle receipt returns the class. A class short of
-    `depth` stalls exactly when its survivors are all still, so only
-    then is it fair-run (_fair_progress), to their no-op round. A class
-    at `depth` always is, since the sweep does not see its successors.
+    The sweep steps, once per class, the idle receipt of each process
+    whose inbox is empty, the only idle steps a fair run takes, and
+    notes the still processes, whose receipt returns the class. A class
+    short of `depth` stalls exactly when its survivors are all still, so
+    only then is it fair-run (_fair_progress), to their no-op round. A
+    class at `depth` always is, since the sweep does not see its
+    successors.
 
     Which processes wait on an operation is read from their states (the
     implementation's `pending`); only a witness's labels are read from
@@ -148,17 +149,8 @@ def _sweep(scenario: Scenario, depth: int, crash_choices, condition: str, notes:
         if d > depth:
             return verdict
         verdict.configs_checked += 1
-        still = set()
-        for p, state in enumerate(config.states):
-            child = apply_step(config, (p, None), system, -1)
-            if child is config and not config.inbox[p]:
-                still.add(p)
-            idle = child.states[p]
-            if (idle is not state and child.channels == config.channels
-                    and idle.pc <= state.pc and idle.done <= state.done):
-                raise PreconditionViolated(
-                    f"{scenario.name}: an idle step of process {p} changes its state without"
-                    " sending or raising its pc or done, so a livelock could hide from the sweep")
+        still = {p for p, row in enumerate(config.inbox)
+                 if not row and apply_step(config, (p, None), system, -1) is config}
         waiting = {p for p, s in enumerate(config.states) if s.impl.pending is not None}
         for crashed in crash_choices:
             if waiting <= crashed:
@@ -222,12 +214,6 @@ def implication_audit(depth: int = 6) -> list:
         scenario = build_scenario(name)
         one = check_1rlf(scenario, depth=depth)
         nb = check_nonblocking(scenario, depth=depth)
-        rows.append(
-            {
-                "protocol": name,
-                "one_rlf": one.holds,
-                "nonblocking": nb.holds,
-                **implication(scenario, one, nb),
-            }
-        )
+        rows.append({"protocol": name, "one_rlf": one.holds, "nonblocking": nb.holds,
+                     **implication(scenario, one, nb)})
     return rows

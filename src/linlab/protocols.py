@@ -73,7 +73,8 @@ class ProtocolUnderTest:
     process has no operation in flight. ScriptedSystem reads both: it
     picks the script by `pid`, and invokes an operation or sends a
     driver tag only while `pending` is None. An idle receipt that changes
-    the state must also send or complete an operation (linlab.progress).
+    the state must also send or raise SysState.pc or SysState.done, or
+    ScriptedSystem refuses it as it computes it (linlab.progress).
     """
 
     num_processes: int = 0
@@ -527,7 +528,13 @@ class ScriptedSystem(ProtocolUnderTest):
         # an unchanged state comes back as the same object (SysState is
         # hash-consed), which lets apply_step recognise a step that
         # changes nothing
-        return Effect(SysState(pc, flags, impl, decided, done), tuple(sends), tuple(events))
+        new = SysState(pc, flags, impl, decided, done)
+        if (received is None and new is not state and not sends
+                and pc == state.pc and done == state.done):
+            raise PreconditionViolated(
+                f"{self.name}: an idle step of process {impl.pid} changes its state without"
+                " sending or raising its pc or done, so a livelock could hide from the searches")
+        return Effect(new, tuple(sends), tuple(events))
 
 
 # --- registry ---------------------------------------------------------------

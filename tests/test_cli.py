@@ -227,6 +227,24 @@ class TestValence:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["valence"], ["hbi"], ["demo", "init-bivalent"]])
+    def test_each_classifying_command_refuses_it_before_searching(
+        self, monkeypatch, capsys, argv
+    ):
+        # hbi used to classify the initial configuration in full and only
+        # then exit 2 with "initial configuration is not certified bivalent"
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a protocol that decides nothing")
+
+        for name in ("classify_valence", "build_hbi", "staged_probe"):
+            monkeypatch.setattr(cli, name, no_search)
+        code = main([*argv, "--protocol", "trivial-ack"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: protocol 'trivial-ack' has no decision operation to classify\n"
+        )
+
 
 class TestExplore:
     def test_naive_tos_finds_the_triple(self, capsys):
@@ -263,11 +281,13 @@ class TestHbiCommand:
         assert json.loads(out)["stuck"] is not None
 
     def test_unmet_precondition_is_an_error_line(self, capsys):
-        # trivial-ack has no decision, so its initial configuration is not bivalent
+        # trivial-ack has no decision, so there is no bivalence to keep
         code = main(["hbi", "--protocol", "trivial-ack"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == "error: initial configuration is not certified bivalent\n"
+        assert captured.err == (
+            "error: protocol 'trivial-ack' has no decision operation to classify\n"
+        )
         assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -671,9 +691,15 @@ def readme_reads() -> dict:
         if not line.startswith("|"):
             break
         name, reads = (cell.strip() for cell in line.strip("|").split("|"))
+        entries = re.findall(r"`(\w+)`(?: \(([^)]+)\))?", reads)
+        # the cell holds those entries and nothing else, so no text the
+        # pattern skips can hide a setting or a default
+        shown = ", ".join(f"`{key}`" + (f" ({default})" if default else "")
+                          for key, default in entries)
+        assert reads == (shown or "none"), line
         rows[name.strip("`")] = {
             key: int(default) if default.isdigit() else default or None
-            for key, default in re.findall(r"`(\w+)`(?: \(([^)]+)\))?", reads)
+            for key, default in entries
         }
     return rows
 

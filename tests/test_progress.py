@@ -38,7 +38,14 @@ from linlab.protocols import (
     TrivialAckProtocol,
 )
 from linlab.seqspec import RESPONSE, Op
-from linlab.valence import FAIR_BOUND, Scenario, build_scenario, completed_count
+from linlab.valence import (
+    FAIR_BOUND,
+    Scenario,
+    build_scenario,
+    completed_count,
+    fair_completion,
+    reach,
+)
 
 
 def crash_choices(s):
@@ -201,20 +208,26 @@ def test_verdicts_match_the_frozen_table(case):
 @pytest.mark.parametrize("name, n, depth", [("trivial-ack", 4, 14), ("naive-tos", 3, 30)])
 def test_a_sweep_steps_each_idle_receipt_once(monkeypatch, name, n, depth):
     # both sweeps hold and exhaust (FROZEN_VERDICTS), so no class gets a
-    # fair run and every idle step the sweep takes is the guard's
+    # fair run and every idle step the sweep takes is its stillness probe:
+    # one per class for each process whose inbox is empty, and no other
     idle_steps = {}
 
     def counting(config, step, system, i=None):
         if step[1] is None:
-            key = (config.core_key(), step[0])
+            key = (config.core_key(), step[0], not config.inbox[step[0]])
             idle_steps[key] = idle_steps.get(key, 0) + 1
         return apply_step(config, step, system, i)
 
     monkeypatch.setattr(progress, "apply_step", counting)
-    verdict = check_1rlf(build_scenario(name, n), depth)
+    s = build_scenario(name, n)
+    verdict = check_1rlf(s, depth)
     assert verdict.holds and verdict.exhausted
-    assert len(idle_steps) == n * verdict.configs_checked
     assert set(idle_steps.values()) == {1}
+    classes = [c for c, _, d in reach(s, s.initial(), depth + 1) if d <= depth]
+    assert len(classes) == verdict.configs_checked
+    assert set(idle_steps) == {
+        (c.core_key(), p, True) for c in classes for p, row in enumerate(c.inbox) if not row
+    }
 
 
 class TestImplicationAudit:
@@ -369,6 +382,25 @@ class TestIdleStepGuard:
         driver = DriverProgram((), None, None)
         monkeypatch.setitem(PROTOCOLS, "tick", (2, lambda n: Tick(), driver, None))
         assert main(["progress", "--protocol", "tick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tick: an idle step of process 0")
+
+
+class TestIdleStepRule:
+    """ScriptedSystem refuses a rule-breaking idle step in every search,
+    not only in the progress sweep."""
+
+    def test_a_fair_run_refuses_it(self):
+        system = ScriptedSystem(Tick(), DriverProgram((), None, None), "tick")
+        s = Scenario(BuiltProtocol(system))
+        with pytest.raises(PreconditionViolated, match="^tick: an idle step of process 0"):
+            fair_completion(s, s.initial())
+
+    def test_simulate_exits_2(self, monkeypatch, capsys):
+        driver = DriverProgram((), None, None)
+        monkeypatch.setitem(PROTOCOLS, "tick", (2, lambda n: Tick(), driver, None))
+        assert main(["simulate", "--protocol", "tick"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: tick: an idle step of process 0")

@@ -294,6 +294,13 @@ class TestHbi:
             build_hbi(s, rounds=1)
         assert str(exc.value) == f"rotation must order every process once, not {rotation!r}"
 
+    def test_an_initial_configuration_that_is_not_bivalent_is_refused(self):
+        # trivial-ack decides nothing; the CLI refuses it before this search
+        s = build_scenario("trivial-ack")
+        with pytest.raises(PreconditionViolated) as exc:
+            build_hbi(s, rounds=1)
+        assert str(exc.value) == "initial configuration is not certified bivalent"
+
     def test_naive_tos_sticks_immediately_with_evidence(self):
         s = build_scenario("naive-tos")
         rep = build_hbi(s, rounds=1)
