@@ -1,5 +1,7 @@
 """Valence classification, adversarial schedules, and the audits."""
 
+import hashlib
+import json
 import random
 from itertools import chain, groupby
 from operator import itemgetter
@@ -25,6 +27,7 @@ from linlab.model import (
     apply_step,
     enabled_steps,
     logged_events,
+    schedule_records,
 )
 from linlab.seqspec import REG_SPEC, RESPONSE, TOS_SPEC, OpHistory
 import linlab.valence as valence
@@ -315,6 +318,240 @@ class TestHbi:
         assert out["rounds_completed"] == 3
         assert len(out["segments"]) == 9
         assert out["completions"] == []
+
+
+# --- frozen verdicts ------------------------------------------------------------
+
+
+def digest(record) -> str:
+    """A short digest of a JSON-ready record, keys sorted."""
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def round_two_successor(s):
+    """build_hbi's round-2, slot-0 candidate with an empty detour on
+    abd-tos: the first round's history, then process 0's forced step,
+    replayed on s, which stays cold."""
+    first = build_hbi(build_scenario(s.name, s.n), rounds=1)
+    config, _ = apply_history(s.initial(), first.history, s.system)
+    return apply_step(config, Step(0, config.inbox[0][0]), s.system)
+
+
+def walk(name, seed) -> tuple:
+    """A seeded walk: 4 to 11 random steps that decide nothing, then the
+    plain fair run from there to the decision."""
+    s = build_scenario(name)
+    rng = random.Random(f"{name}:{seed}")
+    history, config = [], s.initial()
+    for _ in range(rng.randrange(4, 12)):
+        steps = [step for p in range(s.n) for step in enabled_steps(config, p)
+                 if s.decided(apply_step(config, step, s.system)) is None]
+        step = rng.choice(steps)
+        config = apply_step(config, step, s.system)
+        history.append(step)
+    return tuple(history) + fair_completion(s, config).history
+
+
+def frozen_valence_cases():
+    """(id, protocol, n, how to build the configuration, depth)."""
+    for n in (3, 4):
+        yield f"abd-tos-n{n}-round-2-slot-0", "abd-tos", n, round_two_successor, None
+    for name in ("naive-tos", "abd-tos", "abd-reg"):
+        for seed in (1, 2):
+            history = walk(name, seed)
+            length = len(history)
+            for k in sorted({length * f // 5 for f in range(1, 5)} | {length - 3}):
+                for depth in (3, 4, 6, 8):
+                    def build(s, prefix=history[:k]):
+                        return apply_history(s.initial(), prefix, s.system)[0]
+
+                    yield f"{name}-walk{seed}-at{k}-d{depth}", name, None, build, depth
+
+
+FROZEN_VALENCE_CASES = {case[0]: case[1:] for case in frozen_valence_cases()}
+
+# id -> (tag, exhausted, digest of to_json()) of classify_valence on a
+# cold scenario
+FROZEN_VALENCE = {
+    "abd-tos-n3-round-2-slot-0": ("unknown-at-bound", False, "b1abd0e557de3446"),
+    "abd-tos-n4-round-2-slot-0": ("unknown-at-bound", False, "9d258aa693ac989c"),
+    "naive-tos-walk1-at1-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at1-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at1-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at1-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at3-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at3-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at3-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at3-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at5-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at5-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at5-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at5-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at6-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at6-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at6-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at6-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at7-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at7-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at7-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk1-at7-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at2-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at2-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at2-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at2-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at4-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at4-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at4-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at4-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at6-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at6-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at6-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at6-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at7-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at7-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at7-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at7-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at8-d3": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at8-d4": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at8-d6": ("bivalent", False, "8a118a7b9703bc33"),
+    "naive-tos-walk2-at8-d8": ("bivalent", False, "8a118a7b9703bc33"),
+    "abd-tos-walk1-at5-d3": ("bivalent", False, "334bbda0ef98288d"),
+    "abd-tos-walk1-at5-d4": ("bivalent", False, "334bbda0ef98288d"),
+    "abd-tos-walk1-at5-d6": ("bivalent", False, "334bbda0ef98288d"),
+    "abd-tos-walk1-at5-d8": ("bivalent", False, "334bbda0ef98288d"),
+    "abd-tos-walk1-at10-d3": ("bivalent", False, "869c7ab76ac8ecaa"),
+    "abd-tos-walk1-at10-d4": ("bivalent", False, "869c7ab76ac8ecaa"),
+    "abd-tos-walk1-at10-d6": ("bivalent", False, "869c7ab76ac8ecaa"),
+    "abd-tos-walk1-at10-d8": ("bivalent", False, "869c7ab76ac8ecaa"),
+    "abd-tos-walk1-at16-d3": ("unknown-at-bound", False, "d2f4b58637479e73"),
+    "abd-tos-walk1-at16-d4": ("unknown-at-bound", False, "b4e89c172816c4c3"),
+    "abd-tos-walk1-at16-d6": ("unknown-at-bound", False, "03b0cdb2ae5d6e7e"),
+    "abd-tos-walk1-at16-d8": ("0-valent", True, "fa7f57edf6b54992"),
+    "abd-tos-walk1-at21-d3": ("0-valent", True, "89bc8f1da0f52023"),
+    "abd-tos-walk1-at21-d4": ("0-valent", True, "e21899681a70feb0"),
+    "abd-tos-walk1-at21-d6": ("0-valent", True, "e51ebe2deb18ca8f"),
+    "abd-tos-walk1-at21-d8": ("0-valent", True, "d98b55f87fd333dc"),
+    "abd-tos-walk1-at24-d3": ("0-valent", True, "badccba6ec246f62"),
+    "abd-tos-walk1-at24-d4": ("0-valent", True, "010a484e87bfa7bf"),
+    "abd-tos-walk1-at24-d6": ("0-valent", True, "f7b2baac28016137"),
+    "abd-tos-walk1-at24-d8": ("0-valent", True, "a4b5abd12c52a0bd"),
+    "abd-tos-walk2-at5-d3": ("bivalent", False, "e3e16824c055ca57"),
+    "abd-tos-walk2-at5-d4": ("bivalent", False, "e3e16824c055ca57"),
+    "abd-tos-walk2-at5-d6": ("bivalent", False, "e3e16824c055ca57"),
+    "abd-tos-walk2-at5-d8": ("bivalent", False, "e3e16824c055ca57"),
+    "abd-tos-walk2-at10-d3": ("bivalent", False, "07cc7b26f8bb8317"),
+    "abd-tos-walk2-at10-d4": ("bivalent", False, "07cc7b26f8bb8317"),
+    "abd-tos-walk2-at10-d6": ("bivalent", False, "07cc7b26f8bb8317"),
+    "abd-tos-walk2-at10-d8": ("bivalent", False, "07cc7b26f8bb8317"),
+    "abd-tos-walk2-at16-d3": ("unknown-at-bound", False, "d2f4b58637479e73"),
+    "abd-tos-walk2-at16-d4": ("unknown-at-bound", False, "b4e89c172816c4c3"),
+    "abd-tos-walk2-at16-d6": ("unknown-at-bound", False, "03b0cdb2ae5d6e7e"),
+    "abd-tos-walk2-at16-d8": ("0-valent", True, "fa7f57edf6b54992"),
+    "abd-tos-walk2-at21-d3": ("0-valent", True, "89bc8f1da0f52023"),
+    "abd-tos-walk2-at21-d4": ("0-valent", True, "e21899681a70feb0"),
+    "abd-tos-walk2-at21-d6": ("0-valent", True, "e51ebe2deb18ca8f"),
+    "abd-tos-walk2-at21-d8": ("0-valent", True, "d98b55f87fd333dc"),
+    "abd-tos-walk2-at24-d3": ("0-valent", True, "badccba6ec246f62"),
+    "abd-tos-walk2-at24-d4": ("0-valent", True, "010a484e87bfa7bf"),
+    "abd-tos-walk2-at24-d6": ("0-valent", True, "f7b2baac28016137"),
+    "abd-tos-walk2-at24-d8": ("0-valent", True, "a4b5abd12c52a0bd"),
+    "abd-reg-walk1-at12-d3": ("unknown-at-bound", False, "d2986480cac096eb"),
+    "abd-reg-walk1-at12-d4": ("unknown-at-bound", False, "ebe7d555cc6cc514"),
+    "abd-reg-walk1-at12-d6": ("unknown-at-bound", False, "dcb1855fd7888a73"),
+    "abd-reg-walk1-at12-d8": ("unknown-at-bound", False, "404b6c2ccd51ed75"),
+    "abd-reg-walk1-at24-d3": ("unknown-at-bound", False, "9c939c6d0f41dacb"),
+    "abd-reg-walk1-at24-d4": ("unknown-at-bound", False, "f7de264990bf9964"),
+    "abd-reg-walk1-at24-d6": ("unknown-at-bound", False, "527ff930cb2670a7"),
+    "abd-reg-walk1-at24-d8": ("unknown-at-bound", False, "5356c3836bb14c54"),
+    "abd-reg-walk1-at36-d3": ("unknown-at-bound", False, "8f55dc5ec21df8c4"),
+    "abd-reg-walk1-at36-d4": ("unknown-at-bound", False, "67a7ad837d841357"),
+    "abd-reg-walk1-at36-d6": ("unknown-at-bound", False, "eb11032a9b65c647"),
+    "abd-reg-walk1-at36-d8": ("unknown-at-bound", False, "4023a3bace11f1c4"),
+    "abd-reg-walk1-at48-d3": ("unknown-at-bound", False, "cdd84d261fb957c6"),
+    "abd-reg-walk1-at48-d4": ("unknown-at-bound", False, "9ff7505131163687"),
+    "abd-reg-walk1-at48-d6": ("1-valent", True, "d8bc92cbf5fc4ecd"),
+    "abd-reg-walk1-at48-d8": ("1-valent", True, "baa9f86aef55a459"),
+    "abd-reg-walk1-at57-d3": ("1-valent", True, "edb2be225194c332"),
+    "abd-reg-walk1-at57-d4": ("1-valent", True, "126c4150e622b109"),
+    "abd-reg-walk1-at57-d6": ("1-valent", True, "4ea51e6ac6288e04"),
+    "abd-reg-walk1-at57-d8": ("1-valent", True, "06a5904a8021de7c"),
+    "abd-reg-walk2-at11-d3": ("unknown-at-bound", False, "fab5a1637d89ea9c"),
+    "abd-reg-walk2-at11-d4": ("unknown-at-bound", False, "80a0f0526a29bda2"),
+    "abd-reg-walk2-at11-d6": ("unknown-at-bound", False, "a4d3f28cff09cf2c"),
+    "abd-reg-walk2-at11-d8": ("unknown-at-bound", False, "d6c55e42dd576c90"),
+    "abd-reg-walk2-at22-d3": ("unknown-at-bound", False, "9c939c6d0f41dacb"),
+    "abd-reg-walk2-at22-d4": ("unknown-at-bound", False, "f7de264990bf9964"),
+    "abd-reg-walk2-at22-d6": ("unknown-at-bound", False, "527ff930cb2670a7"),
+    "abd-reg-walk2-at22-d8": ("unknown-at-bound", False, "5356c3836bb14c54"),
+    "abd-reg-walk2-at33-d3": ("unknown-at-bound", False, "8f55dc5ec21df8c4"),
+    "abd-reg-walk2-at33-d4": ("unknown-at-bound", False, "67a7ad837d841357"),
+    "abd-reg-walk2-at33-d6": ("unknown-at-bound", False, "eb11032a9b65c647"),
+    "abd-reg-walk2-at33-d8": ("unknown-at-bound", False, "4023a3bace11f1c4"),
+    "abd-reg-walk2-at44-d3": ("unknown-at-bound", False, "cdd84d261fb957c6"),
+    "abd-reg-walk2-at44-d4": ("unknown-at-bound", False, "9ff7505131163687"),
+    "abd-reg-walk2-at44-d6": ("1-valent", True, "d8bc92cbf5fc4ecd"),
+    "abd-reg-walk2-at44-d8": ("1-valent", True, "baa9f86aef55a459"),
+    "abd-reg-walk2-at53-d3": ("1-valent", True, "edb2be225194c332"),
+    "abd-reg-walk2-at53-d4": ("1-valent", True, "126c4150e622b109"),
+    "abd-reg-walk2-at53-d6": ("1-valent", True, "4ea51e6ac6288e04"),
+    "abd-reg-walk2-at53-d8": ("1-valent", True, "06a5904a8021de7c"),
+}
+
+
+def hbi_record(rep) -> dict:
+    """Everything an HbiReport holds, JSON-ready: to_json() plus the
+    schedule, the initial and per-segment certificates and the stuck
+    record's evidence."""
+    def certs(c):
+        return {str(v): schedule_records(h) for v, h in sorted(c.items())}
+
+    out = rep.to_json()
+    out["history"] = schedule_records(rep.history)
+    out["initial"] = certs(rep.initial)
+    out["certificates"] = [certs(seg.certificates) for seg in rep.segments]
+    out["evidence"] = None if rep.stuck is None else list(rep.stuck.evidence)
+    return out
+
+
+# the benchmark's adversary jobs (abd-tos, rounds=3; (1, 2, 0) is stuck
+# at round 3) and naive-tos, stuck at round 1 with flip evidence:
+# (protocol, n, rotation, rounds) -> digest of hbi_record
+FROZEN_HBI = {
+    ("abd-tos", None, (0, 1, 2), 3): "57a004ee86518516",
+    ("abd-tos", None, (0, 2, 1), 3): "48b954b8e9cb1f1e",
+    ("abd-tos", None, (1, 0, 2), 3): "9919c203be2a6706",
+    ("abd-tos", None, (1, 2, 0), 3): "3fd892022048dc8e",  # stuck at round 3, no flip
+    ("abd-tos", None, (2, 0, 1), 3): "7002fe840fc08861",
+    ("abd-tos", None, (2, 1, 0), 3): "82a62b7a0f0fbb13",
+    ("abd-tos", 4, None, 3): "f8d68ba9f776ef2d",
+    ("naive-tos", None, None, 1): "0a6c71fc02d86504",  # stuck at round 1, one flip
+}
+
+
+class TestFrozenVerdicts:
+    """Verdicts frozen as digests, so that a change to how a search
+    steps cannot change what it finds: certificates, depths and
+    exhaustion included."""
+
+    @pytest.mark.parametrize("case", list(FROZEN_VALENCE_CASES))
+    def test_classify_valence(self, case):
+        name, n, build, depth = FROZEN_VALENCE_CASES[case]
+        s = build_scenario(name, n)
+        out = classify_valence(s, build(s), depth)
+        assert (out.tag.value, out.exhausted, digest(out.to_json())) == FROZEN_VALENCE[case]
+
+    def test_the_table_holds_every_kind_of_verdict(self):
+        kinds = {(FROZEN_VALENCE[case][:2], depth)
+                 for case, (_, _, _, depth) in FROZEN_VALENCE_CASES.items()}
+        assert {(("unknown-at-bound", False), None), (("0-valent", True), 8),
+                (("1-valent", True), 8), (("bivalent", False), 8),
+                (("unknown-at-bound", False), 8), (("unknown-at-bound", False), 4)} <= kinds
+
+    @pytest.mark.parametrize("key", list(FROZEN_HBI), ids=str)
+    def test_build_hbi(self, key):
+        name, n, rotation, rounds = key
+        rep = build_hbi(build_scenario(name, n, rotation=rotation), rounds=rounds)
+        assert digest(hbi_record(rep)) == FROZEN_HBI[key]
 
 
 def sorted_layers(classes):
