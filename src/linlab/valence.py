@@ -176,6 +176,7 @@ def reach(
     *,
     forbid: Optional[Step] = None,
     stop_decided: bool = False,
+    one_undecided_at_bound: bool = False,
 ):
     """Breadth-first sweep of the configurations reachable from start.
 
@@ -239,6 +240,22 @@ def reach(
     object `seen` first met, and a remembered child enters `seen` under
     the slot's object, so the table and the sweeps share one tuple per
     class where they can.
+
+    one_undecided_at_bound, which counts only in a sweep that stops at
+    decisions, yields the first undecided class found at `depth` and,
+    after it, only decided ones there. Every parent of a class at the
+    bound is undecided, and apply_step replaces only the state of the
+    process that steps, so a step there decides exactly when it is a
+    step of the decider whose effect (the protocol's memoized
+    transition) decides. Once that first class is out, the parent being
+    expanded skips its other steps, and each later parent applies only
+    its decider's deciding steps, with no sleepers and no table. The
+    decided yields are the full sweep's, in the same order: a decided
+    child never shares its key with a skipped undecided one, and a
+    deciding step is never asleep (its class is not expandable) nor
+    remembered in the table (only undecided children are), so it takes
+    the full path either way. What is lost is every later undecided
+    class at the bound and the table slots its steps would have filled.
     """
     system = scenario.system
     ids = scenario._ids
@@ -256,6 +273,9 @@ def reach(
         layer.append((start, key, (), (), 0))
     fp, fm = (-1, None) if forbid is None else forbid
     table = scenario._successors if stop else None
+    trim = stop and one_undecided_at_bound
+    transition = system.transition
+    lone = False  # under trim: the bound's first undecided class is out
     d = 0
     while layer:
         d += 1
@@ -263,6 +283,16 @@ def reach(
         keep = d < depth  # else no child is expanded, nor needs sleepers
         while layer:
             config, key, hist, sleepers, cut = layer.popleft()
+            if lone:  # only a deciding step of the decider can yield here
+                state = config.states[dp]
+                for j, m in enumerate((None,) + config.inbox[dp], -1):
+                    if transition(state, m).state.decided is None or dp == fp and m == fm:
+                        continue
+                    child = apply_step(config, (dp, m), system, j)
+                    child_key = _child_key(ids, child, config, key, dp)
+                    if first_key(child_key, child_key) is child_key:
+                        yield child, hist + (tuple.__new__(Step, (dp, m)),), d
+                continue
             shared: list = []
             i = 0
             kids = None if table is None else table.get(key)
@@ -280,6 +310,8 @@ def reach(
                                 shared.append(s)
                             continue
                     if p == fp and m == fm:
+                        continue
+                    if lone and (p != dp or transition(config.states[p], m).state.decided is None):
                         continue
                     known = None
                     if kids is not None:
@@ -311,6 +343,8 @@ def reach(
                     if expandable:
                         below.append((child, child_key, child_hist, shared, sibling_cut))
                         shared.append(p if m is None else m)
+                    elif trim and not keep and child.states[dp].decided is None:
+                        lone = True
                 off += len(row) + 1
         layer = below
 
@@ -478,7 +512,12 @@ def classify_valence(
     the scenario's suffix memo (see _fair_run). The sweep goes through
     the scenario's successor table (see reach), so it does not step
     again what an earlier sweep stepped to a class it has already seen;
-    the verdict is the one a cold scenario gives.
+    the verdict is the one a cold scenario gives. Past PROBE_DEPTH no
+    class at the bound is probed, and an undecided one only marks the
+    sweep truncated, which the first one already does; so the sweep
+    yields that one alone (reach's one_undecided_at_bound) and steps
+    only the decider past it, with the same decided classes, in the
+    same order, hence the same certificates and verdict.
 
     Bivalent and already-decided verdicts are absolute; bounded verdicts
     are relative to `depth`.
@@ -510,7 +549,10 @@ def classify_valence(
     # truncated when an undecided class sits at `depth`, and it always
     # covers one layer, even at depth 0.
     truncated = False
-    for nxt, hist, d in reach(scenario, config, max(depth, 1), stop_decided=True):
+    bound = max(depth, 1)
+    sweep = reach(scenario, config, bound, stop_decided=True,
+                  one_undecided_at_bound=bound > PROBE_DEPTH)
+    for nxt, hist, d in sweep:
         if d == 0:
             continue  # the configuration itself, probed above
         v = scenario.decided(nxt)

@@ -371,7 +371,9 @@ class Tick(Echo):
 
 
 class TestIdleStepGuard:
-    """The sweep refuses a space whose idle steps could form a cycle."""
+    """A progress check refuses a space whose idle steps could form a
+    cycle: ScriptedSystem's transition refuses the first idle step that
+    changes a state without sending or raising pc or done."""
 
     def test_the_api_refuses_an_idle_step_that_only_changes_state(self):
         system = ScriptedSystem(Tick(), DriverProgram((), None, None), "tick")

@@ -261,6 +261,53 @@ def test_yields_the_unpruned_sequence(name, label, depth, variant):
     assert sequence(s, got) == sequence(s, want)
 
 
+# --- one undecided class at the bound ----------------------------------------
+
+DECIDING = [name for name in PROTOCOLS if build_scenario(name).decision_process is not None]
+
+
+def one_undecided_at_bound(s, items, depth) -> list:
+    """The yields minus every undecided class at `depth` after the first."""
+    out, first = [], True
+    for item in items:
+        if item[2] == depth > 0 and s.decided(item[0]) is None:
+            if not first:
+                continue
+            first = False
+        out.append(item)
+    return out
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name,label,depth", [
+    case for case in cases() if case.values[0] in DECIDING])
+def test_one_undecided_at_bound_drops_only_the_later_undecided_classes(
+    name, label, depth, warm
+):
+    # the decided classes at the bound are all still found, through the
+    # same histories and in the same order; a warm scenario's successor
+    # table, filled by a sweep past the deepest bound, changes nothing
+    s, configs = starts(name)
+    start = dict(configs)[label]
+    if warm:
+        for _ in reach(s, start, max(DEPTHS) + 1, stop_decided=True):
+            pass
+        # the 8 classes naive-tos reaches from its initial configuration
+        # hold no dedup hit to remember
+        assert bool(s._successors) == ((name, label) != ("naive-tos", "init"))
+    got = reach(s, start, depth, stop_decided=True, one_undecided_at_bound=True)
+    full = list(unpruned_reach(s, start, depth, stop_decided=True))
+    assert sequence(s, got) == sequence(s, one_undecided_at_bound(s, full, depth))
+
+
+def test_one_undecided_at_bound_counts_only_when_stopping_at_decisions():
+    s = build_scenario("abd-tos")
+    plain = list(reach(s, s.initial(), 5))
+    assert sequence(s, reach(s, s.initial(), 5, one_undecided_at_bound=True)) == sequence(s, plain)
+    trimmed = list(reach(s, s.initial(), 5, stop_decided=True, one_undecided_at_bound=True))
+    assert sum(d == 5 for _, _, d in trimmed) == 1 < sum(d == 5 for _, _, d in plain)
+
+
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_distinct_processes_commute_on_vkey(name):
     # the precondition of the sleep sets: both orders of two steps of

@@ -162,6 +162,27 @@ class TestClassifyValence:
             keys = [(id(c), live) for c, live in runs]  # runs keeps each c alive
             assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("n,steps", [(3, 4951), (4, 9029)])
+    def test_a_cold_classification_steps_only_the_decider_past_the_bound(
+        self, n, steps, monkeypatch
+    ):
+        # build_hbi's round-2, slot-0 candidate with an empty detour is
+        # unknown-at-bound at depth 8. Past the first undecided class at
+        # the bound, the sweep takes only the decider's deciding steps;
+        # it made 7,618 and 18,825 apply_step calls stepping every process
+        s = build_scenario("abd-tos", n)
+        config = round_two_successor(s)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return apply_step(*args)
+
+        monkeypatch.setattr(valence, "apply_step", spy)
+        out = classify_valence(s, config)
+        assert (out.tag, out.exhausted, out.depth) == (ValenceTag.UNKNOWN_AT_BOUND, False, 8)
+        assert len(calls) == steps
+
     def test_valence_json_shape(self):
         s = build_scenario("naive-tos")
         out = classify_valence(s, s.initial()).to_json()
@@ -805,3 +826,22 @@ class TestDecisionInState:
             config = take(config, step)
         for _ in range(10):
             config = take(config, any_step(config))
+
+    @given(st.sampled_from(WALKS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_step_keeps_every_other_process_state_object(self, walk, seed):
+        # so no step of a process other than the decider can decide:
+        # reach's one_undecided_at_bound steps only the decider past the
+        # bound's first undecided class on the strength of it
+        name, n = walk
+        s = build_scenario(name, n)
+        rng = random.Random(seed)
+        config = s.initial()
+        for _ in range(rng.randrange(30)):
+            for p in range(s.n):
+                for step in enabled_steps(config, p):
+                    child = apply_step(config, step, s.system)
+                    assert all(child.states[q] is config.states[q]
+                               for q in range(s.n) if q != p)
+            config = apply_step(
+                config, rng.choice(enabled_steps(config, rng.randrange(s.n))), s.system)
