@@ -300,12 +300,13 @@ def test_one_undecided_at_bound_drops_only_the_later_undecided_classes(
     assert sequence(s, got) == sequence(s, one_undecided_at_bound(s, full, depth))
 
 
-def test_one_undecided_at_bound_counts_only_when_stopping_at_decisions():
-    s = build_scenario("abd-tos")
-    plain = list(reach(s, s.initial(), 5))
-    assert sequence(s, reach(s, s.initial(), 5, one_undecided_at_bound=True)) == sequence(s, plain)
-    trimmed = list(reach(s, s.initial(), 5, stop_decided=True, one_undecided_at_bound=True))
-    assert sum(d == 5 for _, _, d in trimmed) == 1 < sum(d == 5 for _, _, d in plain)
+@pytest.mark.parametrize("name,kw", [("abd-tos", {}), ("trivial-ack", {"stop_decided": True})])
+def test_one_undecided_at_bound_counts_only_when_stopping_at_decisions(name, kw):
+    # a sweep that expands decided classes, or has no decision to stop
+    # at, yields every class at the bound
+    s = build_scenario(name)
+    plain = sequence(s, reach(s, s.initial(), 5, **kw))
+    assert sequence(s, reach(s, s.initial(), 5, one_undecided_at_bound=True, **kw)) == plain
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
